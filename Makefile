@@ -1,7 +1,8 @@
 # Development targets. `make check` is the pre-commit gate: vet, lint,
 # build, the full test suite under the race detector, and a quick pass
 # over the differential tests that pin the compiled lineage kernels to
-# the tree-walk reference.
+# the tree-walk reference and the group-lineage builder to the
+# incremental Or/And chain.
 GO ?= go
 
 .PHONY: check vet lint build test race differential mvcc-stress bench bench-parallel bench-planner obs-smoke serve-smoke
@@ -41,9 +42,11 @@ mvcc-stress:
 	$(GO) test -race -count=1 -run 'MVCC' ./internal/relation/ ./internal/core/
 
 # The compiled-vs-treewalk differential tests (bit-identical plans and
-# derivative rows) in internal/lineage and internal/strategy.
+# derivative rows) in internal/lineage and internal/strategy, the
+# group-lineage builder against the incremental Or/And chain, and the
+# confidence cache's incremental advance against full re-evaluation.
 differential:
-	$(GO) test -run Differential -count=1 ./internal/lineage/ ./internal/strategy/
+	$(GO) test -run 'Differential|Builder' -count=1 ./internal/lineage/ ./internal/relation/ ./internal/strategy/
 
 # obs-smoke runs the README example workload with tracing and metrics
 # on and asserts the observability surfaces are live: the span tree

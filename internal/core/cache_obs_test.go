@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"pcqe/internal/obs"
+	"pcqe/internal/policy"
+	"pcqe/internal/relation"
 )
 
 // TestEngineCacheObservability checks the optimizer caches surface
@@ -59,14 +61,15 @@ func TestEngineCacheObservability(t *testing.T) {
 	if classed != rows {
 		t.Errorf("class totals %d != rows %d", classed, rows)
 	}
-	// DISTINCT merges ZStart's two join rows into one result whose
-	// lineage Or(And(02,13), And(03,13)) shares variable 13: the row
-	// routes through the bounded-pivot Shannon path.
-	if lin1.Attr("bounded_rows") != rows {
-		t.Errorf("bounded_rows = %d, want %d", lin1.Attr("bounded_rows"), rows)
+	// DISTINCT merges ZStart's two join rows, (02 ∧ 13) and (03 ∧ 13),
+	// into one result; the builder factors the shared 13 out, so the
+	// lineage is the read-once 13 ∧ (02 ∨ 03) and takes no pivots.
+	if lin1.Attr("readonce_rows") != rows || lin1.Attr("bounded_pivots") != 0 {
+		t.Errorf("readonce_rows = %d (want %d), bounded_pivots = %d (want 0)",
+			lin1.Attr("readonce_rows"), rows, lin1.Attr("bounded_pivots"))
 	}
-	if lin1.Attr("bounded_pivots") == 0 {
-		t.Error("shared formula must record its Shannon pivots")
+	if lin := first.Released[0].Tuple.Lineage; !lin.ReadOnce() || lin.String() != "(t4 & (t2 | t3))" {
+		t.Errorf("ZStart lineage = %s, want the read-once (t4 & (t2 | t3))", lin)
 	}
 	if lin1.Attr("conf_cache_misses") == 0 {
 		t.Error("first request must miss the confidence cache")
@@ -90,6 +93,72 @@ func TestEngineCacheObservability(t *testing.T) {
 	cc := e.ConfCacheStats()
 	if cc.Hits != rows || cc.Misses != rows {
 		t.Errorf("ConfCacheStats = %+v, want %d hits and misses", cc, rows)
+	}
+}
+
+// TestEngineBoundedPivotAttrs pins the bounded-pivot span attributes on
+// a lineage that stays shared after factoring: the non-hierarchical
+// join R(x), S(x,y), T(y). Its DISTINCT lineage OR_xy(r_x ∧ s_xy ∧ t_y)
+// factors on the r_x, but each t_y still occurs under both.
+func TestEngineBoundedPivotAttrs(t *testing.T) {
+	cat := relation.NewCatalog()
+	r, err := cat.CreateTable("R", relation.NewSchema(
+		relation.Column{Name: "g", Type: relation.TypeInt},
+		relation.Column{Name: "x", Type: relation.TypeInt}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := cat.CreateTable("S", relation.NewSchema(
+		relation.Column{Name: "x", Type: relation.TypeInt},
+		relation.Column{Name: "y", Type: relation.TypeInt}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tt, err := cat.CreateTable("T", relation.NewSchema(
+		relation.Column{Name: "y", Type: relation.TypeInt}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := cat.Begin()
+	for i := int64(1); i <= 2; i++ {
+		x.MustInsert(r, 0.5, nil, relation.Int(0), relation.Int(i))
+		x.MustInsert(tt, 0.5, nil, relation.Int(i))
+		for j := int64(1); j <= 2; j++ {
+			x.MustInsert(s, 0.5, nil, relation.Int(i), relation.Int(j))
+		}
+	}
+	if _, err := x.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	rbac := policy.NewRBAC()
+	rbac.AddRole("r")
+	if err := rbac.AssignUser("u", "r"); err != nil {
+		t.Fatal(err)
+	}
+	purposes := policy.NewPurposeTree()
+	if err := purposes.Add("p", ""); err != nil {
+		t.Fatal(err)
+	}
+	store := policy.NewStore(rbac, purposes)
+	if err := store.Add(policy.ConfidencePolicy{Role: "r", Purpose: "p", Beta: 0.01}); err != nil {
+		t.Fatal(err)
+	}
+	e := NewEngine(cat, store, nil)
+	resp, err := e.Evaluate(Request{User: "u", Purpose: "p",
+		Query: `SELECT DISTINCT R.g FROM R JOIN S ON R.x = S.x JOIN T ON S.y = T.y`})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lin := resp.Timings.Find("lineage")
+	if lin == nil || lin.Attr("rows") != 1 {
+		t.Fatalf("want one lineage row:\n%s", resp.Timings.Tree())
+	}
+	if lin.Attr("bounded_rows") != 1 || lin.Attr("readonce_rows") != 0 {
+		t.Errorf("bounded_rows = %d, readonce_rows = %d, want 1/0",
+			lin.Attr("bounded_rows"), lin.Attr("readonce_rows"))
+	}
+	if lin.Attr("bounded_pivots") == 0 {
+		t.Error("shared formula must record its Shannon pivots")
 	}
 }
 

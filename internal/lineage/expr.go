@@ -54,18 +54,47 @@ func (k Kind) String() string {
 }
 
 // Expr is an immutable lineage expression node. Construct expressions with
-// the False, True, NewVar, Not, And and Or constructors; they apply local
-// simplifications (unit laws, flattening) so that the shape stays small.
+// the False, True, NewVar, VarLeaf, Not, And, Or, AndAll and OrAll
+// constructors; they apply local simplifications (unit laws, flattening)
+// so that the shape stays small.
 type Expr struct {
 	kind     Kind
+	hash     uint64  // structural hash, fixed at construction
 	v        Var     // valid when kind == KindVar
 	children []*Expr // valid for KindNot (len 1), KindAnd, KindOr
 }
 
+func newNode(k Kind, children []*Expr) *Expr {
+	return &Expr{kind: k, hash: nodeHash(k, children), children: children}
+}
+
 var (
-	exprFalse = &Expr{kind: KindFalse}
-	exprTrue  = &Expr{kind: KindTrue}
+	exprFalse = &Expr{kind: KindFalse, hash: leafHash(KindFalse, 0)}
+	exprTrue  = &Expr{kind: KindTrue, hash: leafHash(KindTrue, 0)}
 )
+
+// mix64 is the splitmix64 finalizer: a cheap bijective scrambler whose
+// output bits each depend on every input bit.
+func mix64(x uint64) uint64 {
+	x ^= x >> 30
+	x *= 0xbf58476d1ce4e5b9
+	x ^= x >> 27
+	x *= 0x94d049bb133111eb
+	x ^= x >> 31
+	return x
+}
+
+func leafHash(k Kind, v Var) uint64 { return mix64(uint64(k)<<56 ^ uint64(v)) }
+
+// nodeHash combines a node's kind with its children's hashes in order,
+// matching Equal, which is order-sensitive.
+func nodeHash(k Kind, children []*Expr) uint64 {
+	h := mix64(uint64(k) << 56)
+	for _, c := range children {
+		h = mix64(h*31 + c.Hash())
+	}
+	return h
+}
 
 // False returns the constant-false expression (lineage of an impossible
 // result).
@@ -75,7 +104,16 @@ func False() *Expr { return exprFalse }
 func True() *Expr { return exprTrue }
 
 // NewVar returns the expression consisting of the single variable v.
-func NewVar(v Var) *Expr { return &Expr{kind: KindVar, v: v} }
+func NewVar(v Var) *Expr {
+	leaf := VarLeaf(v)
+	return &leaf
+}
+
+// VarLeaf returns the single-variable expression by value, for owners
+// that embed one leaf per variable in a larger struct and hand out
+// pointers to it, so repeated uses of the variable share one node and
+// cost no allocation.
+func VarLeaf(v Var) Expr { return Expr{kind: KindVar, hash: leafHash(KindVar, v), v: v} }
 
 // Not returns the negation of e, simplifying constants and double
 // negation.
@@ -88,7 +126,7 @@ func Not(e *Expr) *Expr {
 	case KindNot:
 		return e.children[0]
 	}
-	return &Expr{kind: KindNot, children: []*Expr{e}}
+	return newNode(KindNot, []*Expr{e})
 }
 
 // And returns the conjunction of es. Constant-true children are dropped, a
@@ -128,7 +166,7 @@ func nary(kind Kind, es []*Expr) *Expr {
 	case 1:
 		return children[0]
 	}
-	return &Expr{kind: kind, children: children}
+	return newNode(kind, children)
 }
 
 // Kind reports the node kind of e.
@@ -142,6 +180,11 @@ func (e *Expr) Variable() Var {
 	}
 	return e.v
 }
+
+// Hash returns e's structural hash: structurally equal expressions (see
+// Equal) have equal hashes. Distinct expressions may collide, so a
+// hash match must be confirmed with Equal.
+func (e *Expr) Hash() uint64 { return e.hash }
 
 // Children returns the child expressions of e. The returned slice must not
 // be modified.
@@ -161,7 +204,7 @@ func (e *Expr) IsConst() (value, isConst bool) {
 // Vars returns the sorted set of distinct variables occurring in e.
 func (e *Expr) Vars() []Var {
 	seen := map[Var]struct{}{}
-	e.walkVars(func(v Var) { seen[v] = struct{}{} })
+	e.AnyVar(func(v Var) bool { seen[v] = struct{}{}; return false })
 	out := make([]Var, 0, len(seen))
 	for v := range seen {
 		out = append(out, v)
@@ -173,19 +216,23 @@ func (e *Expr) Vars() []Var {
 // VarCounts returns the number of occurrences of each variable in e.
 func (e *Expr) VarCounts() map[Var]int {
 	counts := map[Var]int{}
-	e.walkVars(func(v Var) { counts[v]++ })
+	e.AnyVar(func(v Var) bool { counts[v]++; return false })
 	return counts
 }
 
-func (e *Expr) walkVars(f func(Var)) {
-	switch e.kind {
-	case KindVar:
-		f(e.v)
-	case KindNot, KindAnd, KindOr:
-		for _, c := range e.children {
-			c.walkVars(f)
+// AnyVar reports whether pred holds for some variable occurrence in e,
+// visiting occurrences left to right and stopping at the first that
+// does; a pred that always returns false visits them all.
+func (e *Expr) AnyVar(pred func(Var) bool) bool {
+	if e.kind == KindVar {
+		return pred(e.v)
+	}
+	for _, c := range e.children {
+		if c.AnyVar(pred) {
+			return true
 		}
 	}
+	return false
 }
 
 // Size returns the number of nodes in e.
@@ -289,7 +336,7 @@ func Equal(a, b *Expr) bool {
 	if a == b {
 		return true
 	}
-	if a == nil || b == nil || a.kind != b.kind {
+	if a == nil || b == nil || a.kind != b.kind || a.hash != b.hash {
 		return false
 	}
 	if a.kind == KindVar {

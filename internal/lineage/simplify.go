@@ -37,25 +37,6 @@ func Simplify(e *Expr) *Expr {
 	panic("lineage: bad kind")
 }
 
-// dedupe removes structurally equal duplicates, keeping first
-// occurrences in order.
-func dedupe(children []*Expr) []*Expr {
-	out := children[:0]
-	for _, c := range children {
-		dup := false
-		for _, kept := range out {
-			if Equal(kept, c) {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
 // complementPair reports whether the list contains both X and ¬X.
 func complementPair(children []*Expr) (*Expr, bool) {
 	for _, a := range children {

@@ -61,7 +61,7 @@ type Aggregate struct {
 
 type aggGroup struct {
 	keyVals []Value
-	lin     *lineage.Expr
+	lins    []*lineage.Expr // the group's input lineages, AND-ed at close
 	states  []aggState
 }
 
@@ -149,11 +149,11 @@ func (a *Aggregate) Open() error {
 		key := kb.String()
 		grp, ok := groups[key]
 		if !ok {
-			grp = &aggGroup{keyVals: keyVals, lin: lineage.True(), states: make([]aggState, len(a.Aggs))}
+			grp = &aggGroup{keyVals: keyVals, states: make([]aggState, len(a.Aggs))}
 			groups[key] = grp
 			order = append(order, key)
 		}
-		grp.lin = lineage.And(grp.lin, t.Lineage)
+		grp.lins = append(grp.lins, t.Lineage)
 		for i, spec := range a.Aggs {
 			if err := grp.states[i].update(spec, t); err != nil {
 				return err
@@ -162,7 +162,7 @@ func (a *Aggregate) Open() error {
 	}
 	// Global aggregate over an empty input still yields one row.
 	if len(a.GroupBy) == 0 && len(order) == 0 {
-		groups[""] = &aggGroup{lin: lineage.True(), states: make([]aggState, len(a.Aggs))}
+		groups[""] = &aggGroup{states: make([]aggState, len(a.Aggs))}
 		order = append(order, "")
 	}
 	for _, key := range order {
@@ -171,7 +171,7 @@ func (a *Aggregate) Open() error {
 		for i, spec := range a.Aggs {
 			vals = append(vals, grp.states[i].result(spec))
 		}
-		a.buffer = append(a.buffer, &Tuple{Values: vals, Lineage: grp.lin})
+		a.buffer = append(a.buffer, &Tuple{Values: vals, Lineage: lineage.AndAll(grp.lins)})
 	}
 	return nil
 }

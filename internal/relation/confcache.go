@@ -98,19 +98,22 @@ func (s ConfCacheStats) Sub(prev ConfCacheStats) ConfCacheStats {
 	return d
 }
 
-// ConfidenceCache memoizes derived-tuple confidences keyed on (formula
-// fingerprint, confidence epoch): repeated policy filtering of the same
-// results skips the probability computation entirely until some base
-// confidence changes. Evaluation routes by lineage class — read-once
-// formulas go straight to the linear-time path, shared formulas through
-// the compiled Shannon kernel, whose pivot counters the cache
-// aggregates per class. Safe for concurrent use.
+// ConfidenceCache memoizes derived-tuple confidences keyed on (formula,
+// confidence epoch): repeated policy filtering of the same results
+// skips the probability computation entirely until some base confidence
+// changes. Entries are found by the formula's structural hash and
+// confirmed with lineage.Equal against the stored formula, so a hash
+// collision costs a miss, never a wrong confidence. Evaluation routes
+// by lineage class — read-once formulas go straight to the linear-time
+// path, shared formulas through the compiled Shannon kernel, whose
+// pivot counters the cache aggregates per class. Safe for concurrent
+// use.
 type ConfidenceCache struct {
 	cat *Catalog
 	cap int
 
 	mu      sync.Mutex
-	entries map[string]confEntry
+	entries map[uint64]confEntry // by expr.Hash()
 	stats   ConfCacheStats
 }
 
@@ -118,11 +121,11 @@ type confEntry struct {
 	epoch int64
 	p     float64
 	class LineageClass
-	// expr and vars (the formula and its sorted, deduplicated variable
-	// set) drive incremental re-evaluation at commit: a commit touching
-	// none of vars carries the entry forward without recomputing.
+	// expr is the formula the entry was computed for. It confirms hash
+	// matches and drives incremental re-evaluation at commit: a commit
+	// touching none of its variables carries the entry forward without
+	// recomputing.
 	expr *lineage.Expr
-	vars []lineage.Var
 }
 
 // DefaultConfidenceCacheSize bounds the cache when NewConfidenceCache
@@ -136,7 +139,7 @@ func NewConfidenceCache(cat *Catalog, capacity int) *ConfidenceCache {
 	if capacity <= 0 {
 		capacity = DefaultConfidenceCacheSize
 	}
-	cc := &ConfidenceCache{cat: cat, cap: capacity, entries: make(map[string]confEntry)}
+	cc := &ConfidenceCache{cat: cat, cap: capacity, entries: make(map[uint64]confEntry)}
 	cat.registerCache(cc)
 	return cc
 }
@@ -188,10 +191,14 @@ func (cc *ConfidenceCache) ConfidenceAtAcc(t *Tuple, snap *Snapshot, acc *ConfCa
 		_, p, _ := evalClassified(t.Lineage, snap)
 		return p
 	}
-	key := t.Lineage.String()
+	key := t.Lineage.Hash()
 	epoch := snap.ConfEpoch()
 	cc.mu.Lock()
-	if e, ok := cc.entries[key]; ok && e.epoch == epoch {
+	e, ok := cc.entries[key]
+	cc.mu.Unlock()
+	// Formulas are immutable, so the entry's can be compared unlocked.
+	if ok && e.epoch == epoch && lineage.Equal(e.expr, t.Lineage) {
+		cc.mu.Lock()
 		cc.stats.Hits++
 		cc.stats.Rows[e.class]++
 		cc.mu.Unlock()
@@ -201,7 +208,6 @@ func (cc *ConfidenceCache) ConfidenceAtAcc(t *Tuple, snap *Snapshot, acc *ConfCa
 		}
 		return e.p
 	}
-	cc.mu.Unlock()
 
 	class, p, pivots := evalClassified(t.Lineage, snap)
 
@@ -217,7 +223,7 @@ func (cc *ConfidenceCache) ConfidenceAtAcc(t *Tuple, snap *Snapshot, acc *ConfCa
 			break
 		}
 	}
-	cc.entries[key] = confEntry{epoch: epoch, p: p, class: class, expr: t.Lineage, vars: t.Lineage.Vars()}
+	cc.entries[key] = confEntry{epoch: epoch, p: p, class: class, expr: t.Lineage}
 	cc.mu.Unlock()
 	if acc != nil {
 		acc.Misses++
@@ -245,6 +251,10 @@ func (cc *ConfidenceCache) advance(prev, next int64, changed []lineage.Var) {
 	for _, v := range changed {
 		changedSet[v] = struct{}{}
 	}
+	isChanged := func(v lineage.Var) bool {
+		_, ok := changedSet[v]
+		return ok
+	}
 	cc.mu.Lock()
 	defer cc.mu.Unlock()
 	for k, e := range cc.entries {
@@ -256,14 +266,7 @@ func (cc *ConfidenceCache) advance(prev, next int64, changed []lineage.Var) {
 			cc.stats.IncrementalDrops++
 			continue
 		}
-		touched := false
-		for _, v := range e.vars {
-			if _, ok := changedSet[v]; ok {
-				touched = true
-				break
-			}
-		}
-		if !touched {
+		if !e.expr.AnyVar(isChanged) {
 			e.epoch = next
 			cc.entries[k] = e
 			cc.stats.IncrementalRestamps++

@@ -192,3 +192,31 @@ func TestConfidenceCacheConcurrency(t *testing.T) {
 	want[shared] = lineage.Prob(shared.Lineage, c)
 	readAll()
 }
+
+// TestConfidenceCacheHashCollision plants a different formula, with a
+// wrong value, under a tuple's hash at the current epoch, as a hash
+// collision would. The lookup must confirm the formula with
+// lineage.Equal, miss, re-evaluate and replace the entry.
+func TestConfidenceCacheHashCollision(t *testing.T) {
+	c, readOnce, shared, _ := confCacheFixture(t)
+	cc := NewConfidenceCache(c, 0)
+	snap := c.Snapshot()
+	defer snap.Release()
+	cc.entries[readOnce.Lineage.Hash()] = confEntry{
+		epoch: snap.ConfEpoch(), p: 0.999, class: LineageBounded, expr: shared.Lineage,
+	}
+
+	want := lineage.Prob(readOnce.Lineage, snap)
+	if got := cc.ConfidenceAt(readOnce, snap); got != want {
+		t.Fatalf("collided lookup = %v, want %v", got, want)
+	}
+	if st := cc.Stats(); st.Hits != 0 || st.Misses != 1 {
+		t.Fatalf("collided lookup: hits=%d misses=%d, want 0/1", st.Hits, st.Misses)
+	}
+	if got := cc.ConfidenceAt(readOnce, snap); got != want {
+		t.Fatalf("second lookup = %v, want %v", got, want)
+	}
+	if st := cc.Stats(); st.Hits != 1 {
+		t.Fatalf("the re-evaluated entry must replace the planted one: hits=%d", st.Hits)
+	}
+}

@@ -3,8 +3,6 @@ package relation
 import (
 	"fmt"
 	"sync"
-
-	"pcqe/internal/lineage"
 )
 
 // Index is a hash index over one column of a table, mapping value keys
@@ -35,19 +33,33 @@ func (ix *Index) Len() int {
 // Lookup returns the rows whose indexed column equals v at the latest
 // committed version. The returned slice is freshly built.
 func (ix *Index) Lookup(v Value) []*BaseTuple {
-	return ix.lookupAt(v, ix.table.catalog.commitSeq.Load())
+	hits := ix.lookupAt(v, ix.table.catalog.commitSeq.Load())
+	out := make([]*BaseTuple, len(hits))
+	for i, h := range hits {
+		out[i] = h.row
+	}
+	return out
 }
 
-func (ix *Index) lookupAt(v Value, seq int64) []*BaseTuple {
+// indexHit is one row a lookup resolved, with the slot that owns the
+// row's lineage leaf.
+type indexHit struct {
+	slot *versionSlot
+	row  *BaseTuple
+}
+
+// lookupAt returns the rows that, resolved at seq, hold v in the
+// indexed column.
+func (ix *Index) lookupAt(v Value, seq int64) []indexHit {
 	k := v.Key()
 	ix.mu.RLock()
 	slots := ix.buckets[k]
 	ix.mu.RUnlock()
-	var out []*BaseTuple
+	var out []indexHit
 	for _, slot := range slots {
 		b := slot.visibleAt(seq)
 		if b != nil && b.Values[ix.column].Key() == k {
-			out = append(out, b)
+			out = append(out, indexHit{slot, b})
 		}
 	}
 	return out
@@ -146,7 +158,7 @@ type IndexScan struct {
 	Key   Value
 
 	pin  int64
-	rows []*BaseTuple
+	hits []indexHit
 	pos  int
 }
 
@@ -165,19 +177,19 @@ func (s *IndexScan) Open() error {
 	if at <= 0 {
 		at = s.Table.catalog.commitSeq.Load()
 	}
-	s.rows = s.Idx.lookupAt(s.Key, at)
+	s.hits = s.Idx.lookupAt(s.Key, at)
 	s.pos = 0
 	return nil
 }
 
 // Next implements Operator.
 func (s *IndexScan) Next() (*Tuple, error) {
-	if s.pos >= len(s.rows) {
+	if s.pos >= len(s.hits) {
 		return nil, nil
 	}
-	row := s.rows[s.pos]
+	h := s.hits[s.pos]
 	s.pos++
-	return &Tuple{Values: row.Values, Lineage: lineage.NewVar(row.Var)}, nil
+	return &Tuple{Values: h.row.Values, Lineage: &h.slot.leaf}, nil
 }
 
 // Close implements Operator.

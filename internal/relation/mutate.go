@@ -1,9 +1,5 @@
 package relation
 
-import (
-	"pcqe/internal/lineage"
-)
-
 // Delete removes the rows matching pred (a boolean expression over the
 // table's schema) in its own committed transaction and returns how many
 // were removed. Deleted rows stay resolvable through the catalog by
@@ -29,12 +25,12 @@ func (t *Table) Delete(pred Expr) (int, error) {
 // extra REAL value, so predicates compiled against the schema extended
 // with the _confidence pseudo-column (see the sql package) can read it;
 // predicates compiled against the plain schema simply ignore the extra
-// slot.
-func rowTupleWithConfidence(row *BaseTuple) *Tuple {
+// slot. row is a version of slot, whose leaf is the image's lineage.
+func rowTupleWithConfidence(slot *versionSlot, row *BaseTuple) *Tuple {
 	vals := make([]Value, 0, len(row.Values)+1)
 	vals = append(vals, row.Values...)
 	vals = append(vals, Float(row.Confidence))
-	return &Tuple{Values: vals, Lineage: lineage.NewVar(row.Var)}
+	return &Tuple{Values: vals, Lineage: &slot.leaf}
 }
 
 // UpdateSpec describes one column (or confidence) assignment in an

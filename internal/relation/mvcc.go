@@ -23,8 +23,14 @@ import (
 // versionSlot is one logical row: the head of its version chain.
 // The head pointer is the only mutable word; everything it points to is
 // immutable once a commit publishes it, so readers never lock.
+//
+// leaf is the row's lineage variable as an expression node. Every
+// version of the row shares it (versions keep the row's variable), and
+// scans hand out pointers to it instead of allocating a node per row
+// per scan, so all result formulas over the row share one leaf.
 type versionSlot struct {
 	head atomic.Pointer[BaseTuple]
+	leaf lineage.Expr
 }
 
 // at resolves the slot to the newest version visible at commit sequence

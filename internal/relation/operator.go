@@ -148,7 +148,7 @@ func (p *Project) Open() error {
 		return nil
 	}
 	// DISTINCT materializes: merge duplicates, OR their lineage.
-	index := map[string]int{}
+	var m dupMerger
 	for {
 		in, err := p.Input.Next()
 		if err != nil {
@@ -161,15 +161,56 @@ func (p *Project) Open() error {
 		if err != nil {
 			return err
 		}
-		key := out.Key()
-		if i, dup := index[key]; dup {
-			p.buffer[i].Lineage = lineage.Or(p.buffer[i].Lineage, out.Lineage)
-			continue
-		}
-		index[key] = len(p.buffer)
-		p.buffer = append(p.buffer, out)
+		m.add(out)
 	}
+	p.buffer, _ = m.result()
 	return nil
+}
+
+// dupMerger merges rows with equal keys, in first-occurrence order. It
+// collects each merged row's lineages and ORs them once, in result,
+// rather than growing the formula by one Or per duplicate.
+type dupMerger struct {
+	index map[string]int
+	rows  []*Tuple
+	lins  [][]*lineage.Expr // nil while rows[i] has a single source
+}
+
+func (m *dupMerger) add(t *Tuple) {
+	if m.index == nil {
+		m.index = map[string]int{}
+	}
+	key := t.Key()
+	i, dup := m.index[key]
+	if !dup {
+		m.index[key] = len(m.rows)
+		m.rows = append(m.rows, t)
+		m.lins = append(m.lins, nil)
+		return
+	}
+	if m.lins[i] == nil {
+		m.lins[i] = []*lineage.Expr{m.rows[i].Lineage}
+	}
+	m.lins[i] = append(m.lins[i], t.Lineage)
+}
+
+// result returns the merged rows and the position of each row key.
+func (m *dupMerger) result() ([]*Tuple, map[string]int) {
+	for i, l := range m.lins {
+		if l != nil {
+			m.rows[i] = &Tuple{Values: m.rows[i].Values, Lineage: lineage.OrAll(l)}
+		}
+	}
+	return m.rows, m.index
+}
+
+// mergeDuplicates is dupMerger over a materialized input.
+func mergeDuplicates(rows []*Tuple) ([]*Tuple, map[string]int) {
+	var m dupMerger
+	for _, t := range rows {
+		m.add(t)
+	}
+	return m.result()
 }
 
 func (p *Project) projectRow(in *Tuple) (*Tuple, error) {

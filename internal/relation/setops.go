@@ -40,20 +40,7 @@ func (u *Union) Open() error {
 		u.buffer = append(append([]*Tuple{}, left...), right...)
 		return nil
 	}
-	index := map[string]int{}
-	u.buffer = nil
-	for _, t := range append(append([]*Tuple{}, left...), right...) {
-		key := t.Key()
-		if i, dup := index[key]; dup {
-			u.buffer[i] = &Tuple{
-				Values:  u.buffer[i].Values,
-				Lineage: lineage.Or(u.buffer[i].Lineage, t.Lineage),
-			}
-			continue
-		}
-		index[key] = len(u.buffer)
-		u.buffer = append(u.buffer, t)
-	}
+	u.buffer, _ = mergeDuplicates(append(append([]*Tuple{}, left...), right...))
 	return nil
 }
 
@@ -99,34 +86,16 @@ func (op *Intersect) Open() error {
 	if err != nil {
 		return err
 	}
-	// Deduplicate each side, OR-ing lineages of duplicates.
-	dedup := func(rows []*Tuple) map[string]*Tuple {
-		m := map[string]*Tuple{}
-		for _, t := range rows {
-			key := t.Key()
-			if prev, ok := m[key]; ok {
-				m[key] = &Tuple{Values: prev.Values, Lineage: lineage.Or(prev.Lineage, t.Lineage)}
-			} else {
-				m[key] = t
-			}
-		}
-		return m
-	}
-	lm := dedup(left)
-	rm := dedup(right)
+	// Deduplicate each side, OR-ing lineages of duplicates; the output
+	// keeps left-input order.
+	lrows, _ := mergeDuplicates(left)
+	rrows, rindex := mergeDuplicates(right)
 	op.buffer, op.pos = nil, 0
-	// Preserve left-input order.
-	seen := map[string]bool{}
-	for _, t := range left {
-		key := t.Key()
-		if seen[key] {
-			continue
-		}
-		seen[key] = true
-		if rt, ok := rm[key]; ok {
+	for _, t := range lrows {
+		if j, ok := rindex[t.Key()]; ok {
 			op.buffer = append(op.buffer, &Tuple{
 				Values:  t.Values,
-				Lineage: lineage.And(lm[key].Lineage, rt.Lineage),
+				Lineage: lineage.And(t.Lineage, rrows[j].Lineage),
 			})
 		}
 	}
@@ -175,33 +144,13 @@ func (op *Except) Open() error {
 	if err != nil {
 		return err
 	}
-	rm := map[string]*lineage.Expr{}
-	for _, t := range right {
-		key := t.Key()
-		if prev, ok := rm[key]; ok {
-			rm[key] = lineage.Or(prev, t.Lineage)
-		} else {
-			rm[key] = t.Lineage
-		}
-	}
-	// Merge left duplicates first (OR), then attach ∧¬right.
-	op.buffer, op.pos = nil, 0
-	merged := map[string]int{}
-	for _, t := range left {
-		key := t.Key()
-		if i, dup := merged[key]; dup {
-			op.buffer[i] = &Tuple{
-				Values:  op.buffer[i].Values,
-				Lineage: lineage.Or(op.buffer[i].Lineage, t.Lineage),
-			}
-			continue
-		}
-		merged[key] = len(op.buffer)
-		op.buffer = append(op.buffer, &Tuple{Values: t.Values, Lineage: t.Lineage})
-	}
+	// Merge duplicates on each side (OR), then attach ∧¬right.
+	rrows, rindex := mergeDuplicates(right)
+	op.pos = 0
+	op.buffer, _ = mergeDuplicates(left)
 	for i, t := range op.buffer {
-		if rlin, ok := rm[t.Key()]; ok {
-			op.buffer[i] = &Tuple{Values: t.Values, Lineage: lineage.And(t.Lineage, lineage.Not(rlin))}
+		if j, ok := rindex[t.Key()]; ok {
+			op.buffer[i] = &Tuple{Values: t.Values, Lineage: lineage.And(t.Lineage, lineage.Not(rrows[j].Lineage))}
 		}
 	}
 	return nil

@@ -207,7 +207,7 @@ func (s *scanOp) Next() (*Tuple, error) {
 		slot := s.slots[s.pos]
 		s.pos++
 		if b := slot.visibleAt(s.at); b != nil {
-			return &Tuple{Values: b.Values, Lineage: lineage.NewVar(b.Var)}, nil
+			return &Tuple{Values: b.Values, Lineage: &slot.leaf}, nil
 		}
 	}
 	return nil, nil

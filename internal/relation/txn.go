@@ -144,7 +144,7 @@ func (x *Txn) Insert(t *Table, values []Value, confidence float64, fn cost.Funct
 		Cost:       fn,
 		created:    x.writeSeq,
 	}
-	slot := &versionSlot{}
+	slot := &versionSlot{leaf: lineage.VarLeaf(row.Var)}
 	slot.head.Store(row)
 	t.mu.Lock()
 	t.slots = append(t.slots, slot)
@@ -191,7 +191,7 @@ func (x *Txn) Delete(t *Table, pred Expr) (int, error) {
 			continue
 		}
 		if pred != nil {
-			ok, err := EvalBool(pred, rowTupleWithConfidence(b))
+			ok, err := EvalBool(pred, rowTupleWithConfidence(slot, b))
 			if err != nil {
 				return 0, fmt.Errorf("relation: DELETE predicate: %w", err)
 			}
@@ -231,7 +231,7 @@ func (x *Txn) Update(t *Table, pred Expr, specs []UpdateSpec) (int, error) {
 		if b == nil {
 			continue
 		}
-		tuple := rowTupleWithConfidence(b)
+		tuple := rowTupleWithConfidence(slot, b)
 		if pred != nil {
 			ok, err := EvalBool(pred, tuple)
 			if err != nil {
