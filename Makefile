@@ -1,7 +1,8 @@
 # Development targets. `make check` is the pre-commit gate: vet, lint,
 # build, the full test suite under the race detector, and a quick pass
-# over the differential tests that pin the compiled lineage kernels to
-# the tree-walk reference and the group-lineage builder to the
+# over the differential tests that pin lineage.Prob, the compiled
+# lineage kernels and the strategy evaluator to the test-only tree-walk
+# and brute-force oracles, and the group-lineage builder to the
 # incremental Or/And chain.
 GO ?= go
 
@@ -41,8 +42,10 @@ race:
 mvcc-stress:
 	$(GO) test -race -count=1 -run 'MVCC' ./internal/relation/ ./internal/core/
 
-# The compiled-vs-treewalk differential tests (bit-identical plans and
-# derivative rows) in internal/lineage and internal/strategy, the
+# The differential tests: lineage.Prob and the compiled kernels against
+# the test-only tree walk (bit-identical on read-once formulas) and the
+# brute-force truth table, the strategy evaluator's probabilities and
+# gains against the same oracles after random confidence changes, the
 # group-lineage builder against the incremental Or/And chain, and the
 # confidence cache's incremental advance against full re-evaluation.
 differential:
@@ -69,10 +72,10 @@ obs-smoke:
 serve-smoke:
 	@sh scripts/serve_smoke.sh
 
-# Greedy phase-1 gain evaluation (compiled kernels vs legacy tree walk)
-# plus the parallel D&C worker-pool scaling benchmark.
+# Greedy phase-1 gain evaluation (full rescan vs incremental) plus the
+# parallel D&C worker-pool scaling benchmark.
 bench:
-	$(GO) test -run xxx -bench 'BenchmarkCompiledVsTreewalk|BenchmarkDnCParallel' -benchtime 3x .
+	$(GO) test -run xxx -bench 'BenchmarkGreedyPhase1|BenchmarkDnCParallel' -benchtime 3x .
 
 # Worker-pool scaling across GOMAXPROCS settings: the serial and
 # fixed-width variants must not regress at -cpu 1, and workersAuto must

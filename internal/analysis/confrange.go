@@ -40,7 +40,9 @@ var confFieldNames = map[string]bool{
 	"Beta": true, "Prob": true, "Probability": true, "Threshold": true,
 }
 
-// confCallNames are functions/methods returning a confidence.
+// confCallNames are functions/methods returning a confidence as a
+// single float64 (lineage.Prob's three results never reach a
+// comparison directly; Machine.Prob's one result does).
 var confCallNames = map[string]bool{
 	"Prob": true, "ProbOf": true, "Confidence": true,
 	"ProbIndependent": true, "maxP": true, "Threshold": true,

@@ -16,7 +16,6 @@ import (
 func Ablations(opt Options) ([]*Table, error) {
 	var out []*Table
 	for _, f := range []func(Options) (*Table, error){
-		AblationCompiled,
 		AblationGainIncremental,
 		AblationGamma,
 		AblationShannon,
@@ -31,47 +30,6 @@ func Ablations(opt Options) ([]*Table, error) {
 		out = append(out, t)
 	}
 	return out, nil
-}
-
-// AblationCompiled compares the compiled lineage kernels against the
-// legacy interface-typed tree walk on greedy phase 1 (the
-// gain-evaluation hot loop; refinement skipped so the comparison
-// isolates gain evaluation). Both paths solve the identical instance
-// and produce bit-identical plans — cost_delta must be exactly zero.
-func AblationCompiled(opt Options) (*Table, error) {
-	sizes := []int{1000, 5000}
-	if opt.Full {
-		sizes = []int{1000, 5000, 10000, 20000}
-	}
-	t := &Table{
-		Title:   "Ablation: compiled lineage kernels vs legacy tree walk (greedy phase 1)",
-		XLabel:  "data size",
-		Columns: []string{"treewalk_s", "compiled_s", "speedup", "cost_delta"},
-		Notes:   "bit-identical plans; compiled flat programs replace per-node interface dispatch and map-keyed derivatives",
-	}
-	for _, n := range sizes {
-		in, err := workload.Generate(workload.Params{
-			DataSize: n, TuplesPerResult: 5, Delta: 0.1, Theta: 0.5, Beta: 0.6, Seed: opt.Seed,
-		})
-		if err != nil {
-			return nil, err
-		}
-		d1, p1, err := timeSolve(&strategy.Greedy{SkipRefinement: true, TreeWalk: true}, in)
-		if err != nil {
-			return nil, err
-		}
-		d2, p2, err := timeSolve(&strategy.Greedy{SkipRefinement: true}, in)
-		if err != nil {
-			return nil, err
-		}
-		t.Rows = append(t.Rows, RowData{X: sizeLabel(n), Values: map[string]float64{
-			"treewalk_s": d1.Seconds(),
-			"compiled_s": d2.Seconds(),
-			"speedup":    d1.Seconds() / d2.Seconds(),
-			"cost_delta": p1.Cost - p2.Cost,
-		}})
-	}
-	return t, nil
 }
 
 // AblationGainIncremental compares the paper-faithful full-rescan gain
@@ -169,7 +127,11 @@ func AblationShannon(opt Options) (*Table, error) {
 		start := time.Now()
 		var exact float64
 		for i := 0; i < reps; i++ {
-			exact = lineage.Prob(e, assign)
+			p, _, err := lineage.Prob(e, assign)
+			if err != nil {
+				return nil, err
+			}
+			exact = p
 		}
 		exactDur := time.Since(start)
 		start = time.Now()

@@ -489,13 +489,20 @@ func topUpBlocks(ctx context.Context, e *Engine, combined *strategy.Instance, pl
 		}
 		return lineage.FuncAssignment(func(v lineage.Var) float64 { return p[idx[v]] })
 	}
+	// reaches reports whether formula f reaches β under a. The combined
+	// solve validated every formula, so Prob cannot fail here; a failure
+	// would count as not reaching β.
+	reaches := func(f *lineage.Expr, a lineage.Assignment) bool {
+		p, _, err := lineage.Prob(f, a)
+		return err == nil && conf.GE(p, combined.Beta)
+	}
 	newP := append([]float64{}, plan.NewP...)
 	partial := plan.Partial
 	for _, blk := range blocks {
 		sat := 0
 		a := assign(newP)
 		for ri := blk.first; ri < blk.first+blk.count; ri++ {
-			if conf.GE(lineage.Prob(combined.Results[ri].Formula, a), combined.Beta) {
+			if reaches(combined.Results[ri].Formula, a) {
 				sat++
 			}
 		}
@@ -545,7 +552,7 @@ func topUpBlocks(ctx context.Context, e *Engine, combined *strategy.Instance, pl
 	out := &strategy.Plan{NewP: newP, Cost: total, Nodes: plan.Nodes, Partial: partial, Degraded: plan.Degraded}
 	a := assign(newP)
 	for ri, r := range combined.Results {
-		if conf.GE(lineage.Prob(r.Formula, a), combined.Beta) {
+		if reaches(r.Formula, a) {
 			out.Satisfied = append(out.Satisfied, ri)
 		}
 	}

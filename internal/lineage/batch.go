@@ -7,8 +7,7 @@ import "fmt"
 // pass. The strategy evaluator holds one probability per base tuple and
 // re-derives every result's probability (and dense derivative rows)
 // from it; doing that machine-by-machine pays per-call slice setup,
-// bounds checks and — with the map-based tree walk — allocation for
-// every formula. A Batch precomputes each machine's gather indices into
+// bounds checks and a gather allocation for every formula. A Batch precomputes each machine's gather indices into
 // the shared array once (validated int32 indices, so the inner gather
 // loop is branch-light) and reuses one scratch buffer across all
 // machines, so a full dense refresh is a single allocation-free sweep.

@@ -27,7 +27,7 @@ func batchFixture(t testing.TB) (*Batch, []*Machine, [][]int, []float64) {
 	machines := make([]*Machine, len(formulas))
 	gathers := make([][]int, len(formulas))
 	for k, f := range formulas {
-		p := Compile(f)
+		p := compile(f)
 		machines[k] = NewMachine(p)
 		idx := make([]int, p.NumSlots())
 		for s, vr := range p.Vars() {
@@ -116,7 +116,7 @@ func TestBatchProbDerivNilRowSkips(t *testing.T) {
 }
 
 func TestBatchAddValidation(t *testing.T) {
-	m := NewMachine(Compile(And(NewVar(1), NewVar(2))))
+	m := NewMachine(compile(And(NewVar(1), NewVar(2))))
 	b := NewBatch(0)
 	if err := b.Add(m, []int{0}); err == nil || !strings.Contains(err.Error(), "gather indices") {
 		t.Errorf("short gather map: err = %v", err)

@@ -15,9 +15,9 @@ func TestDerivativesMatchPinnedReadOnce(t *testing.T) {
 		for _, v := range e.Vars() {
 			assign[v] = r.Float64()
 		}
-		derivs := Derivatives(e, assign)
+		derivs := treeDerivatives(e, assign)
 		for _, v := range e.Vars() {
-			want := Derivative(e, assign, v)
+			want := treeDerivative(e, assign, v)
 			if math.Abs(derivs[v]-want) > 1e-9 {
 				t.Fatalf("trial %d: d/d%d = %v, want %v (e=%v)", trial, v, derivs[v], want, e)
 			}
@@ -29,9 +29,9 @@ func TestDerivativesSharedVarsFallback(t *testing.T) {
 	// (x∧y) ∨ (x∧z): shared x forces the fallback path.
 	e := Or(And(NewVar(1), NewVar(2)), And(NewVar(1), NewVar(3)))
 	assign := MapAssignment{1: 0.5, 2: 0.4, 3: 0.6}
-	derivs := Derivatives(e, assign)
+	derivs := treeDerivatives(e, assign)
 	for _, v := range e.Vars() {
-		want := Derivative(e, assign, v)
+		want := treeDerivative(e, assign, v)
 		if math.Abs(derivs[v]-want) > 1e-9 {
 			t.Fatalf("d/d%d = %v, want %v", v, derivs[v], want)
 		}
@@ -42,7 +42,7 @@ func TestDerivativesWithNegation(t *testing.T) {
 	// e = x ∧ ¬y: ∂/∂y = −p(x).
 	e := And(NewVar(1), Not(NewVar(2)))
 	assign := MapAssignment{1: 0.7, 2: 0.2}
-	derivs := Derivatives(e, assign)
+	derivs := treeDerivatives(e, assign)
 	if math.Abs(derivs[2]-(-0.7)) > 1e-9 {
 		t.Fatalf("∂/∂y = %v, want -0.7", derivs[2])
 	}
@@ -56,7 +56,7 @@ func TestDerivativesZeroProbabilityChildren(t *testing.T) {
 	// not divide by zero.
 	e := And(NewVar(1), NewVar(2), NewVar(3))
 	assign := MapAssignment{1: 0, 2: 0.5, 3: 0.5}
-	derivs := Derivatives(e, assign)
+	derivs := treeDerivatives(e, assign)
 	if math.Abs(derivs[1]-0.25) > 1e-9 {
 		t.Fatalf("∂/∂x1 = %v, want 0.25", derivs[1])
 	}
@@ -74,14 +74,14 @@ func TestPropertyDerivativesMatchNumeric(t *testing.T) {
 		for _, v := range e.Vars() {
 			assign[v] = 0.1 + 0.8*rr.Float64()
 		}
-		derivs := Derivatives(e, assign)
+		derivs := treeDerivatives(e, assign)
 		for _, v := range e.Vars() {
 			const h = 1e-6
 			orig := assign[v]
 			assign[v] = orig + h
-			up := Prob(e, assign)
+			up := mustProb(e, assign)
 			assign[v] = orig - h
-			down := Prob(e, assign)
+			down := mustProb(e, assign)
 			assign[v] = orig
 			numeric := (up - down) / (2 * h)
 			if math.Abs(derivs[v]-numeric) > 1e-4 {

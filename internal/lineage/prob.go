@@ -3,7 +3,6 @@ package lineage
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"pcqe/internal/conf"
 )
@@ -27,9 +26,9 @@ type FuncAssignment func(Var) float64
 // ProbOf implements Assignment.
 func (f FuncAssignment) ProbOf(v Var) float64 { return f(v) }
 
-// ErrTooManyShared is returned by ProbExact when a formula has more shared
-// variables than the supplied limit allows; exact Shannon expansion would
-// cost 2^shared evaluations.
+// ErrTooManyShared is returned by Prob and CompileExact when a formula
+// has more shared variables than the limit allows; exact Shannon
+// expansion would cost 2^shared evaluations.
 var ErrTooManyShared = errors.New("lineage: too many shared variables for exact evaluation")
 
 // DefaultSharedLimit bounds the Shannon-expansion depth of Prob. 2^24 leaf
@@ -39,79 +38,39 @@ const DefaultSharedLimit = 24
 
 // Prob computes the exact probability that e is true when every variable
 // is an independent Bernoulli event with the probability given by assign.
-// Read-once subformulas evaluate in linear time; variables occurring more
-// than once are eliminated by Shannon expansion (most frequent first).
-// Prob panics if the formula needs more than DefaultSharedLimit expansion
-// steps; use ProbExact to control the limit and receive an error instead.
-func Prob(e *Expr, assign Assignment) float64 {
-	p, err := ProbExact(e, assign, DefaultSharedLimit)
+// It is the one production probability path: read-once formulas take the
+// linear-time walk, every other formula is compiled at
+// DefaultSharedLimit and evaluated by its Machine, which enumerates the
+// 2^shared Shannon pivot assignments. pivots reports that enumeration
+// (0 for read-once formulas), so callers can classify a formula without
+// compiling it a second time. A formula past the limit yields an error
+// wrapping ErrTooManyShared.
+func Prob(e *Expr, assign Assignment) (p float64, pivots int64, err error) {
+	if e.ReadOnce() {
+		return probReadOnce(e, assign), 0, nil
+	}
+	prog, err := CompileExact(e, DefaultSharedLimit)
 	if err != nil {
-		panic(err)
+		return 0, 0, err
 	}
-	return p
-}
-
-// ProbExact is Prob with an explicit bound on the number of shared
-// variables eliminated by Shannon expansion.
-func ProbExact(e *Expr, assign Assignment, sharedLimit int) (float64, error) {
-	shared := sharedVarsByFrequency(e)
-	if len(shared) > sharedLimit {
-		return 0, fmt.Errorf("%w: %d shared variables, limit %d", ErrTooManyShared, len(shared), sharedLimit)
+	m := NewMachine(prog)
+	probs := make([]float64, prog.NumSlots())
+	for i, v := range prog.Vars() {
+		probs[i] = assign.ProbOf(v)
 	}
-	return shannon(e, assign, shared), nil
+	// Summing 2^shared weighted branches can overshoot [0,1] by an ulp.
+	p = clamp01(m.Prob(probs))
+	_, pivots = m.Counters()
+	return p, pivots, nil
 }
 
 // ProbIndependent computes the probability of e under the (generally
 // unsound) assumption that all subformulas are independent, i.e. shared
-// variables are treated as distinct events. It is linear time and is the
-// approximation ablated in BenchmarkAblationShannon.
+// variables are treated as distinct events. It is linear time, exact for
+// read-once formulas, and is the approximation ablated in
+// AblationShannon.
 func ProbIndependent(e *Expr, assign Assignment) float64 {
 	return probReadOnce(e, assign)
-}
-
-// sharedVarsByFrequency returns variables occurring more than once,
-// most frequent first (a good Shannon pivot order: conditioning on the
-// most-shared variable removes the most duplication).
-func sharedVarsByFrequency(e *Expr) []Var {
-	counts := e.VarCounts()
-	shared := make([]Var, 0)
-	for v, n := range counts {
-		if n > 1 {
-			shared = append(shared, v)
-		}
-	}
-	sort.Slice(shared, func(i, j int) bool {
-		if counts[shared[i]] != counts[shared[j]] {
-			return counts[shared[i]] > counts[shared[j]]
-		}
-		return shared[i] < shared[j]
-	})
-	return shared
-}
-
-// shannon eliminates the shared variables one at a time:
-// P(e) = p(v)·P(e|v=1) + (1−p(v))·P(e|v=0). Substitution simplifies the
-// formula, which frequently turns the residual read-once early.
-func shannon(e *Expr, assign Assignment, shared []Var) float64 {
-	if len(shared) == 0 {
-		return probReadOnce(e, assign)
-	}
-	if val, ok := e.IsConst(); ok {
-		if val {
-			return 1
-		}
-		return 0
-	}
-	// Re-check: substitutions may have removed sharing.
-	if e.ReadOnce() {
-		return probReadOnce(e, assign)
-	}
-	v := shared[0]
-	rest := shared[1:]
-	p := clamp01(assign.ProbOf(v))
-	hi := shannon(e.Substitute(v, true), assign, rest)
-	lo := shannon(e.Substitute(v, false), assign, rest)
-	return p*hi + (1-p)*lo
 }
 
 // probReadOnce evaluates e assuming independence of children (exact when
@@ -150,24 +109,6 @@ func probReadOnce(e *Expr, assign Assignment) float64 {
 		return 1 - q
 	}
 	panic("lineage: bad kind")
-}
-
-// ProbPinned returns the probability of e with variable v pinned to false
-// (p0) and to true (p1). Because P(e) is multilinear in each variable,
-// P(e) = (1−p(v))·p0 + p(v)·p1 for any probability of v, so the exact
-// effect of changing v's confidence from p to p* is (p*−p)·(p1−p0).
-// This is what the greedy solver uses to compute gains with two
-// evaluations instead of numeric differencing.
-func ProbPinned(e *Expr, assign Assignment, v Var) (p0, p1 float64) {
-	e0 := e.Substitute(v, false)
-	e1 := e.Substitute(v, true)
-	return Prob(e0, assign), Prob(e1, assign)
-}
-
-// Derivative returns ∂P(e)/∂p(v), i.e. P(e|v=1) − P(e|v=0).
-func Derivative(e *Expr, assign Assignment, v Var) float64 {
-	p0, p1 := ProbPinned(e, assign, v)
-	return p1 - p0
 }
 
 // ProbBruteForce enumerates all 2^n assignments of the variables of e and

@@ -10,10 +10,10 @@ import (
 // over dense variable slots, and then evaluated many times — the access
 // pattern of the strategy solvers, which re-evaluate the same result
 // formulas thousands of times while only tuple confidences change. The
-// compiled form eliminates the tree walk's pointer chasing, the
-// per-variable map lookups of Assignment, and the map allocation of
-// Derivatives: probabilities and all per-variable derivatives come out
+// compiled form avoids pointer chasing and per-variable map lookups of
+// Assignment: probabilities and all per-variable derivatives come out
 // of one allocation-free fused inside–outside sweep over []float64.
+// It is also Prob's path for every formula that is not read-once.
 
 // op is a compiled-program opcode.
 type op uint8
@@ -37,7 +37,7 @@ type instr struct {
 }
 
 // Program is a lineage formula compiled to a flat postfix instruction
-// array over dense variable slots. A Program is immutable after Compile
+// array over dense variable slots. A Program is immutable after CompileExact
 // and may be shared freely across goroutines; evaluation state lives in
 // a Machine (one per goroutine).
 type Program struct {
@@ -47,22 +47,11 @@ type Program struct {
 	slot map[Var]int
 	// shared lists the slots of variables occurring more than once, in
 	// the Shannon pivot order precomputed at compile time (descending
-	// occurrence count, then ascending variable — the same order the
-	// tree-walk Prob uses). Empty for read-once formulas.
+	// occurrence count, then ascending variable). Empty for read-once
+	// formulas.
 	shared   []int32
 	maxArity int
 	expr     *Expr
-}
-
-// Compile compiles e with the DefaultSharedLimit bound on Shannon
-// pivots, panicking when the formula exceeds it (mirroring Prob); use
-// CompileExact to control the limit and receive an error instead.
-func Compile(e *Expr) *Program {
-	p, err := CompileExact(e, DefaultSharedLimit)
-	if err != nil {
-		panic(err)
-	}
-	return p
 }
 
 // CompileExact compiles e into a Program. It fails with
@@ -227,8 +216,8 @@ func (m *Machine) SetPivotHook(f func(pivots int)) { m.hook = f }
 func (m *Machine) Counters() (evals, pivots int64) { return m.evals, m.pivots }
 
 // inside runs the forward pass under the current pins and returns the
-// root probability. Multiplication order matches the tree walk's
-// probReadOnce child order, so read-once results are bit-identical.
+// root probability. Multiplication order matches probReadOnce's child
+// order, so read-once results are bit-identical to it.
 func (m *Machine) inside(probs []float64) float64 {
 	p := m.prog
 	vals := m.vals
@@ -266,8 +255,8 @@ func (m *Machine) inside(probs []float64) float64 {
 
 // outside runs the backward pass after inside, accumulating w·(∂P/∂p
 // of slot) into deriv for every unpinned slot. Sibling products use the
-// same prefix/suffix order as the tree walk's outsidePass, so read-once
-// derivative rows are bit-identical to Derivatives.
+// prefix/suffix order the package tests' tree-walk oracle uses, so
+// read-once derivative rows are bit-identical to it.
 func (m *Machine) outside(deriv []float64, w float64) {
 	p := m.prog
 	vals, out, pref := m.vals, m.out, m.pref
@@ -402,17 +391,4 @@ func (m *Machine) probShared(probs []float64, deriv []float64) float64 {
 		m.pinned[s] = -1
 	}
 	return total
-}
-
-// ProbPinned returns the probability with slot pinned to false (p0) and
-// true (p1), the compiled counterpart of the package-level ProbPinned.
-// probs is temporarily mutated and restored before returning.
-func (m *Machine) ProbPinned(probs []float64, slot int) (p0, p1 float64) {
-	old := probs[slot]
-	probs[slot] = 0
-	p0 = m.Prob(probs)
-	probs[slot] = 1
-	p1 = m.Prob(probs)
-	probs[slot] = old
-	return p0, p1
 }

@@ -32,7 +32,7 @@ func TestDifferentialCompiledProbReadOnce(t *testing.T) {
 	for trial := 0; trial < 300; trial++ {
 		e := randomReadOnceExpr(r, 1+r.Intn(12))
 		assign := randomAssign(r, e)
-		p := Compile(e)
+		p := compile(e)
 		if !p.ReadOnce() {
 			t.Fatalf("trial %d: read-once formula compiled with pivots (e=%v)", trial, e)
 		}
@@ -53,7 +53,7 @@ func TestDifferentialCompiledDerivReadOnce(t *testing.T) {
 	for trial := 0; trial < 300; trial++ {
 		e := randomReadOnceExpr(r, 1+r.Intn(12))
 		assign := randomAssign(r, e)
-		p := Compile(e)
+		p := compile(e)
 		m := NewMachine(p)
 		probs := probsFor(p, assign)
 		deriv := make([]float64, p.NumSlots())
@@ -61,7 +61,7 @@ func TestDifferentialCompiledDerivReadOnce(t *testing.T) {
 		if want := ProbIndependent(e, assign); gotProb != want {
 			t.Fatalf("trial %d: fused prob %v != %v", trial, gotProb, want)
 		}
-		wantDeriv := Derivatives(e, assign)
+		wantDeriv := treeDerivatives(e, assign)
 		for i, v := range p.Vars() {
 			if deriv[i] != wantDeriv[v] {
 				t.Fatalf("trial %d: ∂/∂%d = %v, want %v (must be bit-identical, e=%v)",
@@ -79,10 +79,10 @@ func TestDifferentialCompiledProbShared(t *testing.T) {
 	for trial := 0; trial < 300; trial++ {
 		e := randomExpr(r, 2+r.Intn(6), 3)
 		assign := randomAssign(r, e)
-		p := Compile(e)
+		p := compile(e)
 		m := NewMachine(p)
 		got := m.Prob(probsFor(p, assign))
-		want := Prob(e, assign)
+		want := treeProb(e, assign)
 		if math.Abs(got-want) > 1e-12 {
 			t.Fatalf("trial %d: compiled prob %v, tree-walk %v (e=%v)", trial, got, want, e)
 		}
@@ -96,16 +96,16 @@ func TestDifferentialCompiledDerivShared(t *testing.T) {
 	for trial := 0; trial < 200; trial++ {
 		e := randomExpr(r, 2+r.Intn(6), 3)
 		assign := randomAssign(r, e)
-		p := Compile(e)
+		p := compile(e)
 		m := NewMachine(p)
 		probs := probsFor(p, assign)
 		deriv := make([]float64, p.NumSlots())
 		gotProb := m.ProbDeriv(probs, deriv)
-		if want := Prob(e, assign); math.Abs(gotProb-want) > 1e-12 {
+		if want := treeProb(e, assign); math.Abs(gotProb-want) > 1e-12 {
 			t.Fatalf("trial %d: fused prob %v, want %v", trial, gotProb, want)
 		}
 		for i, v := range p.Vars() {
-			want := Derivative(e, assign, v)
+			want := treeDerivative(e, assign, v)
 			if math.Abs(deriv[i]-want) > 1e-9 {
 				t.Fatalf("trial %d: ∂/∂%d = %v, want %v (e=%v)", trial, v, deriv[i], want, e)
 			}
@@ -113,23 +113,25 @@ func TestDifferentialCompiledDerivShared(t *testing.T) {
 	}
 }
 
-// TestDifferentialCompiledProbPinned compares the compiled pinned
-// evaluation against the package-level ProbPinned.
+// TestDifferentialCompiledProbPinned: a slot probability of exactly 0
+// or 1 pins the compiled evaluation to the tree walk's substitution of
+// the constant into the formula.
 func TestDifferentialCompiledProbPinned(t *testing.T) {
 	r := rand.New(rand.NewSource(105))
 	for trial := 0; trial < 200; trial++ {
 		e := randomExpr(r, 2+r.Intn(5), 3)
 		assign := randomAssign(r, e)
-		p := Compile(e)
+		p := compile(e)
 		m := NewMachine(p)
 		probs := probsFor(p, assign)
 		for i, v := range p.Vars() {
 			before := probs[i]
-			g0, g1 := m.ProbPinned(probs, i)
-			if probs[i] != before {
-				t.Fatalf("trial %d: ProbPinned did not restore probs[%d]", trial, i)
-			}
-			w0, w1 := ProbPinned(e, assign, v)
+			probs[i] = 0
+			g0 := m.Prob(probs)
+			probs[i] = 1
+			g1 := m.Prob(probs)
+			probs[i] = before
+			w0, w1 := treeProbPinned(e, assign, v)
 			if math.Abs(g0-w0) > 1e-12 || math.Abs(g1-w1) > 1e-12 {
 				t.Fatalf("trial %d: pinned (%v,%v), want (%v,%v) for %d (e=%v)",
 					trial, g0, g1, w0, w1, v, e)
@@ -145,7 +147,7 @@ func TestDifferentialCompiledBruteForce(t *testing.T) {
 	for trial := 0; trial < 150; trial++ {
 		e := randomExpr(r, 2+r.Intn(5), 3)
 		assign := randomAssign(r, e)
-		p := Compile(e)
+		p := compile(e)
 		m := NewMachine(p)
 		got := m.Prob(probsFor(p, assign))
 		want, err := ProbBruteForce(e, assign)
@@ -164,7 +166,7 @@ func TestDifferentialCompiledBruteForce(t *testing.T) {
 func TestDifferentialCompiledMachineReuse(t *testing.T) {
 	r := rand.New(rand.NewSource(107))
 	e := randomExpr(r, 6, 3)
-	p := Compile(e)
+	p := compile(e)
 	m := NewMachine(p)
 	probs := make([]float64, p.NumSlots())
 	deriv := make([]float64, p.NumSlots())
@@ -174,7 +176,7 @@ func TestDifferentialCompiledMachineReuse(t *testing.T) {
 			probs[i] = r.Float64()
 			assign[v] = probs[i]
 		}
-		want := Prob(e, assign)
+		want := treeProb(e, assign)
 		if got := m.Prob(probs); math.Abs(got-want) > 1e-12 {
 			t.Fatalf("trial %d: Prob %v, want %v", trial, got, want)
 		}
@@ -194,7 +196,7 @@ func TestCompileConstantsAndSingleVar(t *testing.T) {
 		{NewVar(7), 0.3},
 		{Not(NewVar(7)), 0.7},
 	} {
-		p := Compile(tc.e)
+		p := compile(tc.e)
 		m := NewMachine(p)
 		probs := make([]float64, p.NumSlots())
 		for i := range probs {
@@ -227,7 +229,7 @@ func TestCompileExactSharedLimit(t *testing.T) {
 func TestCompiledDerivClampedOutOfRange(t *testing.T) {
 	// Out-of-range and NaN inputs clamp exactly like the tree walk.
 	e := And(NewVar(1), NewVar(2))
-	p := Compile(e)
+	p := compile(e)
 	m := NewMachine(p)
 	probs := []float64{1.7, math.NaN()}
 	assign := MapAssignment{1: 1.7, 2: math.NaN()}
@@ -242,7 +244,7 @@ func TestCompiledDerivClampedOutOfRange(t *testing.T) {
 func TestMachineCounters(t *testing.T) {
 	x1, x2, x3 := NewVar(1), NewVar(2), NewVar(3)
 	shared := Or(And(x1, x2), And(x1, x3)) // x1 is shared: one pivot
-	p := Compile(shared)
+	p := compile(shared)
 	if p.ReadOnce() {
 		t.Fatalf("formula %v must compile with pivots", shared)
 	}
@@ -263,7 +265,7 @@ func TestMachineCounters(t *testing.T) {
 		t.Errorf("pivots = %d, want 6", pivots)
 	}
 
-	ro := Compile(And(x1, x2))
+	ro := compile(And(x1, x2))
 	mr := NewMachine(ro)
 	mr.Prob(make([]float64, ro.NumSlots()))
 	if evals, pivots := mr.Counters(); evals != 1 || pivots != 0 {

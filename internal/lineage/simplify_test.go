@@ -104,8 +104,8 @@ func TestPropertySimplifyPreservesProbability(t *testing.T) {
 		for i := 0; i < 5; i++ {
 			assign[Var(i)] = rr.Float64()
 		}
-		pe := Prob(e, assign)
-		ps := Prob(s, assign)
+		pe := mustProb(e, assign)
+		ps := mustProb(s, assign)
 		diff := pe - ps
 		if diff < 0 {
 			diff = -diff

@@ -208,9 +208,11 @@ func (c *Catalog) ProbOf(v lineage.Var) float64 {
 }
 
 // Confidence computes the exact confidence of a derived tuple from its
-// lineage and the current base-tuple confidences.
+// lineage and the current base-tuple confidences. It panics on a
+// formula with more than lineage.DefaultSharedLimit shared variables.
 func (c *Catalog) Confidence(t *Tuple) float64 {
-	return lineage.Prob(t.Lineage, c)
+	_, p, _ := evalClassified(t.Lineage, c)
+	return p
 }
 
 // SetConfidence updates a base tuple's confidence in its own committed

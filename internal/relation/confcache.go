@@ -46,19 +46,6 @@ func (c LineageClass) String() string {
 // is still cheap enough to treat as routine.
 const BoundedPivotLimit = 8
 
-// ClassifyLineage reports a formula's complexity class and its shared
-// (Shannon pivot) variable count.
-func ClassifyLineage(e *lineage.Expr) (LineageClass, int) {
-	if e.ReadOnce() {
-		return LineageReadOnce, 0
-	}
-	shared := len(lineage.Compile(e).SharedSlots())
-	if shared <= BoundedPivotLimit {
-		return LineageBounded, shared
-	}
-	return LineageHard, shared
-}
-
 // ConfCacheStats is a snapshot of a ConfidenceCache's counters. The
 // per-class arrays are indexed by LineageClass.
 type ConfCacheStats struct {
@@ -281,26 +268,21 @@ func (cc *ConfidenceCache) advance(prev, next int64, changed []lineage.Var) {
 	}
 }
 
-// evalClassified computes a formula's probability on the path its class
-// dictates. Read-once formulas use the linear independent-product walk
-// (exact and bit-identical to Shannon expansion, which never pivots on
-// them); shared formulas use the compiled kernel so the Machine's pivot
-// counters surface the true Shannon cost.
+// evalClassified computes a formula's probability with lineage.Prob and
+// classifies it by the Shannon pivots the evaluation enumerated: none
+// for a read-once formula, at most 2^BoundedPivotLimit for a bounded
+// one, more for a hard one. It panics on a formula past
+// lineage.DefaultSharedLimit, and so do the float64 confidence
+// accessors built on it.
 func evalClassified(e *lineage.Expr, assign lineage.Assignment) (LineageClass, float64, int64) {
-	if e.ReadOnce() {
-		return LineageReadOnce, lineage.ProbIndependent(e, assign), 0
+	p, pivots, err := lineage.Prob(e, assign)
+	switch {
+	case err != nil:
+		panic(err)
+	case pivots == 0:
+		return LineageReadOnce, p, 0
+	case pivots <= 1<<BoundedPivotLimit:
+		return LineageBounded, p, pivots
 	}
-	prog := lineage.Compile(e)
-	class := LineageBounded
-	if len(prog.SharedSlots()) > BoundedPivotLimit {
-		class = LineageHard
-	}
-	m := lineage.NewMachine(prog)
-	probs := make([]float64, prog.NumSlots())
-	for i, v := range prog.Vars() {
-		probs[i] = assign.ProbOf(v)
-	}
-	p := m.Prob(probs)
-	_, pivots := m.Counters()
-	return class, p, pivots
+	return LineageHard, p, pivots
 }

@@ -8,37 +8,52 @@ import (
 	"pcqe/internal/lineage"
 )
 
-func TestClassifyLineage(t *testing.T) {
+// TestLineageClassBoundaries: evalClassified derives the class from the
+// pivots lineage.Prob enumerated, so BoundedPivotLimit shared variables
+// are still bounded and one more is hard.
+func TestLineageClassBoundaries(t *testing.T) {
 	v := func(i int) *lineage.Expr { return lineage.NewVar(lineage.Var(i)) }
+	// sharedOr ORs two conjunctions over the same n variables, each with
+	// one private variable: n Shannon pivots.
+	sharedOr := func(n int) *lineage.Expr {
+		left := []*lineage.Expr{v(100)}
+		right := []*lineage.Expr{v(101)}
+		for i := 1; i <= n; i++ {
+			left = append(left, v(i))
+			right = append(right, v(i))
+		}
+		return lineage.Or(lineage.And(left...), lineage.And(right...))
+	}
+	assign := lineage.FuncAssignment(func(x lineage.Var) float64 { return 0.5 + float64(x%7)/20 })
+	for _, tc := range []struct {
+		name   string
+		e      *lineage.Expr
+		class  LineageClass
+		pivots int64
+	}{
+		{"read-once", lineage.And(lineage.Or(v(1), v(2)), v(3)), LineageReadOnce, 0},
+		{"bounded", sharedOr(BoundedPivotLimit), LineageBounded, 1 << BoundedPivotLimit},
+		{"hard", sharedOr(BoundedPivotLimit + 1), LineageHard, 1 << (BoundedPivotLimit + 1)},
+	} {
+		class, p, pivots := evalClassified(tc.e, assign)
+		if class != tc.class || pivots != tc.pivots {
+			t.Errorf("%s: class %v with %d pivots, want %v with %d", tc.name, class, pivots, tc.class, tc.pivots)
+		}
+		if want := bruteProb(t, tc.e, assign); math.Abs(p-want) > 1e-12 {
+			t.Errorf("%s: p = %v, brute force %v", tc.name, p, want)
+		}
+	}
+}
 
-	readOnce := lineage.And(lineage.Or(v(1), v(2)), v(3))
-	if class, shared := ClassifyLineage(readOnce); class != LineageReadOnce || shared != 0 {
-		t.Errorf("read-once formula classified %v (%d shared)", class, shared)
+// bruteProb is the truth-table oracle, independent of the evaluation
+// path the cache routes formulas to.
+func bruteProb(t *testing.T, e *lineage.Expr, assign lineage.Assignment) float64 {
+	t.Helper()
+	p, err := lineage.ProbBruteForce(e, assign)
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	// v1 and v2 occur on both sides of the OR: two Shannon pivots.
-	bounded := lineage.Or(
-		lineage.And(v(1), v(2), v(10)),
-		lineage.And(v(1), v(2), v(11)),
-	)
-	if class, shared := ClassifyLineage(bounded); class != LineageBounded || shared != 2 {
-		t.Errorf("bounded formula classified %v (%d shared), want %v (2)", class, shared, LineageBounded)
-	}
-
-	// BoundedPivotLimit+1 shared variables: hard.
-	n := BoundedPivotLimit + 1
-	left := make([]*lineage.Expr, 0, n+1)
-	right := make([]*lineage.Expr, 0, n+1)
-	for i := 1; i <= n; i++ {
-		left = append(left, v(i))
-		right = append(right, v(i))
-	}
-	left = append(left, v(100))
-	right = append(right, v(101))
-	hard := lineage.Or(lineage.And(left...), lineage.And(right...))
-	if class, shared := ClassifyLineage(hard); class != LineageHard || shared != n {
-		t.Errorf("hard formula classified %v (%d shared), want %v (%d)", class, shared, LineageHard, n)
-	}
+	return p
 }
 
 // confCacheFixture builds a catalog with base rows and two derived
@@ -64,12 +79,10 @@ func TestConfidenceCacheValuesAndHits(t *testing.T) {
 	c, readOnce, shared, _ := confCacheFixture(t)
 	cc := NewConfidenceCache(c, 0)
 
-	// Read-once routing must be bit-identical to the tree walk, not
-	// merely close: both sides compute the same independent product.
-	if got, want := cc.Confidence(readOnce), lineage.Prob(readOnce.Lineage, c); got != want {
-		t.Fatalf("read-once confidence = %v, want exactly %v", got, want)
+	if got, want := cc.Confidence(readOnce), bruteProb(t, readOnce.Lineage, c); math.Abs(got-want) > 1e-12 {
+		t.Fatalf("read-once confidence = %v, want %v", got, want)
 	}
-	if got, want := cc.Confidence(shared), lineage.Prob(shared.Lineage, c); math.Abs(got-want) > 1e-12 {
+	if got, want := cc.Confidence(shared), bruteProb(t, shared.Lineage, c); math.Abs(got-want) > 1e-12 {
 		t.Fatalf("shared confidence = %v, want %v", got, want)
 	}
 
@@ -108,7 +121,7 @@ func TestConfidenceCacheInvalidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	after := cc.Confidence(shared)
-	want := lineage.Prob(shared.Lineage, c)
+	want := bruteProb(t, shared.Lineage, c)
 	if math.Abs(after-want) > 1e-12 {
 		t.Fatalf("post-SetConfidence cache served %v, fresh evaluation gives %v", after, want)
 	}
@@ -161,8 +174,8 @@ func TestConfidenceCacheConcurrency(t *testing.T) {
 	c, readOnce, shared, rows := confCacheFixture(t)
 	cc := NewConfidenceCache(c, 0)
 	want := map[*Tuple]float64{
-		readOnce: lineage.Prob(readOnce.Lineage, c),
-		shared:   lineage.Prob(shared.Lineage, c),
+		readOnce: bruteProb(t, readOnce.Lineage, c),
+		shared:   bruteProb(t, shared.Lineage, c),
 	}
 	readAll := func() {
 		var wg sync.WaitGroup
@@ -188,8 +201,8 @@ func TestConfidenceCacheConcurrency(t *testing.T) {
 	if err := c.SetConfidence(rows[3].Var, 0.2); err != nil {
 		t.Fatal(err)
 	}
-	want[readOnce] = lineage.Prob(readOnce.Lineage, c)
-	want[shared] = lineage.Prob(shared.Lineage, c)
+	want[readOnce] = bruteProb(t, readOnce.Lineage, c)
+	want[shared] = bruteProb(t, shared.Lineage, c)
 	readAll()
 }
 
@@ -206,14 +219,14 @@ func TestConfidenceCacheHashCollision(t *testing.T) {
 		epoch: snap.ConfEpoch(), p: 0.999, class: LineageBounded, expr: shared.Lineage,
 	}
 
-	want := lineage.Prob(readOnce.Lineage, snap)
-	if got := cc.ConfidenceAt(readOnce, snap); got != want {
+	want := bruteProb(t, readOnce.Lineage, snap)
+	if got := cc.ConfidenceAt(readOnce, snap); math.Abs(got-want) > 1e-12 {
 		t.Fatalf("collided lookup = %v, want %v", got, want)
 	}
 	if st := cc.Stats(); st.Hits != 0 || st.Misses != 1 {
 		t.Fatalf("collided lookup: hits=%d misses=%d, want 0/1", st.Hits, st.Misses)
 	}
-	if got := cc.ConfidenceAt(readOnce, snap); got != want {
+	if got := cc.ConfidenceAt(readOnce, snap); math.Abs(got-want) > 1e-12 {
 		t.Fatalf("second lookup = %v, want %v", got, want)
 	}
 	if st := cc.Stats(); st.Hits != 1 {

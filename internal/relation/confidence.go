@@ -1,7 +1,6 @@
 package relation
 
 import (
-	"pcqe/internal/conf"
 	"pcqe/internal/lineage"
 )
 
@@ -67,11 +66,13 @@ func (a *AttachConfidence) Next() (*Tuple, error) {
 	if err != nil || t == nil {
 		return nil, err
 	}
+	p, _, err := lineage.Prob(t.Lineage, a.assign)
+	if err != nil {
+		return nil, err
+	}
 	vals := make([]Value, 0, len(t.Values)+1)
 	vals = append(vals, t.Values...)
-	// Shannon expansion sums two products of [0,1] factors, which can
-	// overshoot 1 by an ulp; the column is user-visible, so repair it.
-	vals = append(vals, Float(conf.Clamp(lineage.Prob(t.Lineage, a.assign))))
+	vals = append(vals, Float(p))
 	return &Tuple{Values: vals, Lineage: t.Lineage}, nil
 }
 

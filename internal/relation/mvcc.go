@@ -177,9 +177,11 @@ func (s *Snapshot) BaseTupleByVar(v lineage.Var) (*BaseTuple, bool) {
 }
 
 // Confidence computes the exact confidence of a derived tuple from its
-// lineage under the snapshot's pinned base confidences.
+// lineage under the snapshot's pinned base confidences. It panics on a
+// formula with more than lineage.DefaultSharedLimit shared variables.
 func (s *Snapshot) Confidence(t *Tuple) float64 {
-	return lineage.Prob(t.Lineage, s)
+	_, p, _ := evalClassified(t.Lineage, s)
+	return p
 }
 
 var _ lineage.Assignment = (*Snapshot)(nil)

@@ -33,11 +33,11 @@ func contextSolverMakers() []func() ContextSolver {
 
 // adversarialInstance builds a ring of AND pairs under one OR: every
 // base tuple is shared between two conjuncts, so each probability
-// evaluation enumerates 2^n Shannon pivot assignments (n=14 keeps the
-// formula on the compiled path, whose pivot hook polls the budget). A
-// fine δ grid and a high β force hundreds of such evaluations, so an
-// uninterrupted solve takes orders of magnitude longer than the test
-// deadline — which is exactly what the anytime runtime must handle.
+// evaluation enumerates 2^n Shannon pivot assignments, each one a pivot
+// hook checkpoint that polls the budget. A fine δ grid and a high β
+// force hundreds of such evaluations, so an uninterrupted solve takes
+// orders of magnitude longer than the test deadline — which is exactly
+// what the anytime runtime must handle.
 func adversarialInstance(n int) *Instance {
 	in := &Instance{Beta: 0.95, Delta: 0.02, Need: 1}
 	for i := 0; i < n; i++ {
@@ -493,5 +493,76 @@ func TestSolveContextFallback(t *testing.T) {
 	plan, err := SolveContext(context.Background(), s, in, Budget{})
 	if err != nil || plan == nil || !s.called {
 		t.Fatalf("fallback: plan=%v err=%v called=%v", plan, err, s.called)
+	}
+}
+
+// rstInstance builds the non-hierarchical lineage OR_x(r_x ∧ OR_y(s_xy ∧
+// t_y)) of the join R(x), S(x,y), T(y): every t_y occurs once per x, so
+// the formula keeps ys shared variables and each exact evaluation
+// enumerates 2^ys Shannon pivot assignments.
+func rstInstance(xs, ys int) *Instance {
+	in := &Instance{Beta: 0.99999, Delta: 0.1, Need: 1}
+	next := lineage.Var(1)
+	leaf := func(p, rate float64) *lineage.Expr {
+		v := next
+		next++
+		in.Base = append(in.Base, BaseTuple{Var: v, P: p, Cost: cost.Linear{Rate: rate}})
+		return lineage.NewVar(v)
+	}
+	t := make([]*lineage.Expr, ys)
+	for y := range t {
+		t[y] = leaf(0.1, 5)
+	}
+	var clauses []*lineage.Expr
+	for x := 0; x < xs; x++ {
+		r := leaf(0.1, 5)
+		var st []*lineage.Expr
+		for y := 0; y < ys; y++ {
+			st = append(st, lineage.And(leaf(0.5, 3), t[y]))
+		}
+		clauses = append(clauses, lineage.And(r, lineage.Or(st...)))
+	}
+	in.Results = []Result{{ID: 0, Formula: lineage.Or(clauses...)}}
+	return in
+}
+
+// TestBudgetHoldsOnHardLineage: a formula with 18 shared variables is
+// evaluated by the compiled kernel, whose pivot hook polls the budget,
+// so both a deadline and a pivot ceiling stop the solve within a
+// checkpoint of exhaustion instead of after whole-formula evaluations.
+func TestBudgetHoldsOnHardLineage(t *testing.T) {
+	const limit = time.Second
+	for _, b := range []Budget{{Timeout: 100 * time.Millisecond}, {MaxPivots: 1000}} {
+		in := rstInstance(3, 18)
+		start := time.Now()
+		_, err := (&Greedy{}).SolveContext(context.Background(), in, b)
+		elapsed := time.Since(start)
+		var bx *BudgetExceededError
+		if !errors.As(err, &bx) {
+			t.Fatalf("budget %+v: err = %v, want *BudgetExceededError", b, err)
+		}
+		if elapsed > limit {
+			t.Errorf("budget %+v: returned after %v (pivots=%d), want within %v", b, elapsed, bx.Pivots, limit)
+		}
+		if bx.Pivots == 0 {
+			t.Errorf("budget %+v: stop reports pivots=0; the evaluation bypassed the pivot hook", b)
+		}
+	}
+}
+
+// TestTooManySharedIsTypedError: a formula past lineage.DefaultSharedLimit
+// is refused up front with lineage.ErrTooManyShared by every solver,
+// instead of panicking inside evaluation.
+func TestTooManySharedIsTypedError(t *testing.T) {
+	in := rstInstance(2, lineage.DefaultSharedLimit+1)
+	if err := in.Validate(); !errors.Is(err, lineage.ErrTooManyShared) {
+		t.Fatalf("Validate: err = %v, want ErrTooManyShared", err)
+	}
+	for _, mk := range contextSolverMakers() {
+		s := mk()
+		_, err := s.SolveContext(context.Background(), in, Budget{})
+		if !errors.Is(err, lineage.ErrTooManyShared) {
+			t.Errorf("%s: err = %T %v, want ErrTooManyShared", s.Name(), err, err)
+		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"pcqe/internal/conf"
 	"pcqe/internal/cost"
 	"pcqe/internal/lineage"
 )
@@ -53,87 +54,86 @@ func mediumInstance(seed int64, n, per int, withSharing bool) *Instance {
 	return in
 }
 
-// requireSamePlan asserts bit-identical plans: same confidences, cost,
-// satisfied set, and node count.
-func requireSamePlan(t *testing.T, label string, a, b *Plan) {
-	t.Helper()
-	if len(a.NewP) != len(b.NewP) {
-		t.Fatalf("%s: plan lengths %d vs %d", label, len(a.NewP), len(b.NewP))
+// treeWalkProb is the substitution tree walk, the evaluator's reference:
+// Shannon expansion on the most frequent shared variable, substituting
+// the constants into the formula until the residual is read-once (where
+// the independent product is exact). It shares no code with the
+// compiled Machine.
+func treeWalkProb(f *lineage.Expr, a lineage.Assignment) float64 {
+	if f.ReadOnce() {
+		return lineage.ProbIndependent(f, a)
 	}
-	for i := range a.NewP {
-		if a.NewP[i] != b.NewP[i] {
-			t.Fatalf("%s: tuple %d confidence %v vs %v (plans must be bit-identical)",
-				label, i, a.NewP[i], b.NewP[i])
+	var pivot lineage.Var
+	best := 0
+	for v, n := range f.VarCounts() {
+		if n > best || (n == best && v < pivot) {
+			pivot, best = v, n
 		}
 	}
-	if a.Cost != b.Cost {
-		t.Fatalf("%s: cost %v vs %v", label, a.Cost, b.Cost)
-	}
-	if len(a.Satisfied) != len(b.Satisfied) {
-		t.Fatalf("%s: satisfied %v vs %v", label, a.Satisfied, b.Satisfied)
-	}
-	for i := range a.Satisfied {
-		if a.Satisfied[i] != b.Satisfied[i] {
-			t.Fatalf("%s: satisfied %v vs %v", label, a.Satisfied, b.Satisfied)
-		}
-	}
-	if a.Nodes != b.Nodes {
-		t.Fatalf("%s: nodes %d vs %d (evaluation paths diverged)", label, a.Nodes, b.Nodes)
-	}
+	p := a.ProbOf(pivot)
+	return p*treeWalkProb(f.Substitute(pivot, true), a) + (1-p)*treeWalkProb(f.Substitute(pivot, false), a)
 }
 
-// TestDifferentialCompiledPlansAllSolvers is the acceptance check for
-// the compiled evaluation path: every solver must produce a
-// bit-identical plan whether result formulas run through compiled
-// programs (default) or the legacy tree walk, on seeded workloads with
-// and without shared variables.
-func TestDifferentialCompiledPlansAllSolvers(t *testing.T) {
-	type pair struct {
-		name     string
-		compiled Solver
-		treeWalk Solver
+// TestDifferentialEvaluatorOracle drives the compiled evaluator through
+// random setP sequences and checks, after every step, each result's
+// probability and the multilinear gain deltaF against the tree walk and
+// the brute-force truth table, on small instances, Table-4-shaped medium
+// instances with and without shared variables, and a non-hierarchical
+// R/S/T formula with several pivots.
+func TestDifferentialEvaluatorOracle(t *testing.T) {
+	var instances []*Instance
+	r := rand.New(rand.NewSource(7))
+	for i := 0; i < 10; i++ {
+		instances = append(instances, randomInstance(r))
 	}
-	small := func(seed int64) []*Instance {
-		r := rand.New(rand.NewSource(seed))
-		var out []*Instance
-		for i := 0; i < 10; i++ {
-			out = append(out, randomInstance(r))
+	instances = append(instances, mediumInstance(11, 300, 5, false), mediumInstance(11, 300, 5, true), rstInstance(2, 3))
+	for n, in := range instances {
+		e := newEvaluator(in, nil, nil)
+		probs := make(lineage.MapAssignment, len(in.Base))
+		for _, b := range in.Base {
+			probs[b.Var] = b.P
 		}
-		return out
-	}
-	for _, tc := range []pair{
-		{"greedy", &Greedy{}, &Greedy{TreeWalk: true}},
-		{"greedy-incremental", &Greedy{Incremental: true}, &Greedy{Incremental: true, TreeWalk: true}},
-		{"heuristic", NewHeuristic(), &Heuristic{UseH1: true, UseH2: true, UseH3: true, UseH4: true, GreedyBound: true, TreeWalk: true}},
-		{"dnc", NewDivideAndConquer(), &DivideAndConquer{Gamma: 1, Tau: 8, MaxGroupResults: 64, TreeWalk: true}},
-	} {
-		for _, in := range small(7) {
-			pc, errC := tc.compiled.Solve(in)
-			pt, errT := tc.treeWalk.Solve(in)
-			if (errC == nil) != (errT == nil) {
-				t.Fatalf("%s: error mismatch: compiled %v, tree-walk %v", tc.name, errC, errT)
+		oracle := func(ri int, a lineage.Assignment) float64 {
+			f := in.Results[ri].Formula
+			tree := treeWalkProb(f, a)
+			brute, err := lineage.ProbBruteForce(f, a)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if errC != nil {
-				continue
+			if math.Abs(tree-brute) > conf.Eps {
+				t.Fatalf("instance %d result %d: tree walk %v, brute force %v", n, ri, tree, brute)
 			}
-			requireSamePlan(t, tc.name+"/small", pc, pt)
+			return brute
 		}
-	}
-	// Medium Table-4-shaped workloads (too slow for the exhaustive
-	// heuristic): greedy variants and D&C, with and without sharing.
-	for _, shared := range []bool{false, true} {
-		in := mediumInstance(11, 300, 5, shared)
-		for _, tc := range []pair{
-			{"greedy", &Greedy{}, &Greedy{TreeWalk: true}},
-			{"greedy-incremental", &Greedy{Incremental: true}, &Greedy{Incremental: true, TreeWalk: true}},
-			{"dnc", NewDivideAndConquer(), &DivideAndConquer{Gamma: 1, Tau: 8, MaxGroupResults: 64, TreeWalk: true}},
-		} {
-			pc, errC := tc.compiled.Solve(in)
-			pt, errT := tc.treeWalk.Solve(in)
-			if errC != nil || errT != nil {
-				t.Fatalf("%s shared=%v: compiled err %v, tree-walk err %v", tc.name, shared, errC, errT)
+		for step := 0; step < 40; step++ {
+			bi := r.Intn(len(in.Base))
+			b := in.Base[bi]
+			newP := b.P + (b.maxP()-b.P)*r.Float64()
+			v := b.Var
+
+			want := 0.0
+			for _, oc := range e.resultsOf[bi] {
+				ri := int(oc.ri)
+				if e.satisfied[ri] {
+					continue
+				}
+				cur := oracle(ri, probs)
+				old := probs[v]
+				probs[v] = newP
+				want += oracle(ri, probs) - cur
+				probs[v] = old
 			}
-			requireSamePlan(t, tc.name, pc, pt)
+			if got := e.deltaF(bi, newP); math.Abs(got-want) > conf.Eps {
+				t.Fatalf("instance %d step %d: deltaF(%d, %v) = %v, oracle %v", n, step, bi, newP, got, want)
+			}
+
+			e.setP(bi, newP)
+			probs[v] = newP
+			for ri := range in.Results {
+				if got, want := e.resultProb[ri], oracle(ri, probs); math.Abs(got-want) > conf.Eps {
+					t.Fatalf("instance %d step %d: result %d probability %v, oracle %v", n, step, ri, got, want)
+				}
+			}
 		}
 	}
 }
@@ -169,9 +169,9 @@ func TestGreedyHeapMatchesRescanMedium(t *testing.T) {
 	}
 }
 
-// TestVerifyCompiledPlans: plans from the compiled path must pass the
-// instance's independent verification (which itself uses the tree-walk
-// Prob), tying the two stacks together end to end.
+// TestVerifyCompiledPlans: plans from the solvers must pass the
+// instance's independent verification (lineage.Prob per result),
+// tying the evaluator and the production probability path together.
 func TestVerifyCompiledPlans(t *testing.T) {
 	in := mediumInstance(5, 120, 4, true)
 	for _, s := range []Solver{&Greedy{}, &Greedy{Incremental: true}, NewDivideAndConquer()} {

@@ -54,10 +54,6 @@ type DivideAndConquer struct {
 	// serial, n > 1 uses n workers regardless of Parallel.
 	// Budget.Workers overrides this per solve.
 	Workers int
-	// TreeWalk evaluates result formulas with the legacy tree walk
-	// instead of compiled lineage programs (differential testing and
-	// ablation only; plans are identical).
-	TreeWalk bool
 }
 
 // NewDivideAndConquer returns the configuration used in the benchmarks:
@@ -152,7 +148,7 @@ func (d *DivideAndConquer) solveBudget(in *Instance, bs *budgetState, span *obs.
 		dbs := bs
 		defer func() { finishWorkerSpan(ds, dbs, -1) }()
 	}
-	e := newEvaluatorCtx(in, d.TreeWalk, bs)
+	e := newEvaluator(in, bs, nil)
 	if e.satAtMax() < in.Need {
 		return nil, ErrInfeasible
 	}
@@ -387,7 +383,7 @@ func (d *DivideAndConquer) solveGroup(sub *Instance, free int, bs *budgetState, 
 	// Feasibility: one evaluator serves both the check and (when the
 	// target must be lowered) the satisfiable maximum.
 	ar.reset()
-	if max := newEvaluatorArena(sub, d.TreeWalk, bs, ar).satAtMax(); max < sub.Need {
+	if max := newEvaluator(sub, bs, ar).satAtMax(); max < sub.Need {
 		if max <= free {
 			// The group cannot deliver anything beyond its already
 			// satisfied results; skip it entirely.
@@ -400,7 +396,7 @@ func (d *DivideAndConquer) solveGroup(sub *Instance, free int, bs *budgetState, 
 	// plan is identical to the full rescan's (asserted by tests) and the
 	// dirty-propagation loop is strictly faster.
 	ar.reset()
-	plan, err := (&Greedy{Incremental: true, TreeWalk: d.TreeWalk}).solveArena(sub, bs, ar)
+	plan, err := (&Greedy{Incremental: true}).solveArena(sub, bs, ar)
 	if err != nil {
 		var bx *BudgetExceededError
 		if errors.As(err, &bx) && plan != nil {
@@ -452,13 +448,13 @@ func (d *DivideAndConquer) groupHeuristic(sub *Instance, seed *Plan, bs *budgetS
 			}
 		}
 	}()
-	h := &Heuristic{UseH1: true, UseH2: true, UseH3: true, UseH4: true, TreeWalk: d.TreeWalk}
-	hs = &heuristicSearch{Heuristic: h, in: sub, bs: bs, ar: ar, e: newEvaluatorArena(sub, d.TreeWalk, bs, ar), bestCost: seed.Cost, best: seed}
+	h := &Heuristic{UseH1: true, UseH2: true, UseH3: true, UseH4: true}
+	hs = &heuristicSearch{Heuristic: h, in: sub, bs: bs, ar: ar, e: newEvaluator(sub, bs, ar), bestCost: seed.Cost, best: seed}
 	hs.order = make([]int, len(sub.Base))
 	for i := range hs.order {
 		hs.order[i] = i
 	}
-	cb := costBetas(sub, d.TreeWalk, bs, ar)
+	cb := costBetas(sub, bs, ar)
 	sort.SliceStable(hs.order, func(a, b int) bool { return cb[hs.order[a]] > cb[hs.order[b]] })
 	hs.prepare()
 	hs.dfs(0, 0)

@@ -29,11 +29,6 @@ type Greedy struct {
 	// faithful full-rescan mode, while the engine and the D&C group
 	// solves default to incremental.
 	Incremental bool
-	// TreeWalk evaluates result formulas with the legacy interface-typed
-	// tree walk instead of compiled lineage programs. Plans are
-	// identical; the flag exists for differential tests and the
-	// AblationCompiled benchmark.
-	TreeWalk bool
 }
 
 // Name implements Solver.
@@ -155,7 +150,7 @@ func (g *Greedy) solveCore(in *Instance, bs *budgetState, incumbent **Plan, ar *
 	if err := in.Validate(); err != nil {
 		return nil, err
 	}
-	e := newEvaluatorArena(in, g.TreeWalk, bs, ar)
+	e := newEvaluator(in, bs, ar)
 	if e.satAtMax() < in.Need {
 		return nil, ErrInfeasible
 	}

@@ -37,10 +37,6 @@ type Heuristic struct {
 	// best plan found so far (0 = unlimited). The search is exact when
 	// it completes within the budget.
 	MaxNodes int
-	// TreeWalk evaluates result formulas with the legacy tree walk
-	// instead of compiled lineage programs (differential testing and
-	// ablation only; plans are identical).
-	TreeWalk bool
 }
 
 // NewHeuristic returns the full configuration: all four heuristics on,
@@ -125,7 +121,7 @@ func (h *Heuristic) solveArena(in *Instance, bs *budgetState, ar *arena) (plan *
 			}
 		}
 	}()
-	s.e = newEvaluatorArena(in, h.TreeWalk, bs, ar)
+	s.e = newEvaluator(in, bs, ar)
 	if s.e.satAtMax() < in.Need {
 		return nil, ErrInfeasible
 	}
@@ -136,7 +132,7 @@ func (h *Heuristic) solveArena(in *Instance, bs *budgetState, ar *arena) (plan *
 		s.order[i] = i
 	}
 	if h.UseH1 {
-		cb := costBetas(in, h.TreeWalk, bs, ar)
+		cb := costBetas(in, bs, ar)
 		sort.SliceStable(s.order, func(a, b int) bool {
 			return cb[s.order[a]] > cb[s.order[b]] // descending: costly near the root
 		})
@@ -148,7 +144,7 @@ func (h *Heuristic) solveArena(in *Instance, bs *budgetState, ar *arena) (plan *
 		// The greedy seed shares this solve's budget; its feasible
 		// snapshots land in s.best as they form, so a budget unwind
 		// mid-seed still leaves the boundary an incumbent to return.
-		if gp, gerr := (&Greedy{Incremental: true, TreeWalk: h.TreeWalk}).solveCore(in, bs, &s.best, ar); gerr == nil {
+		if gp, gerr := (&Greedy{Incremental: true}).solveCore(in, bs, &s.best, ar); gerr == nil {
 			s.best = gp
 			s.bestCost = gp.Cost
 		} else if s.best != nil {
@@ -195,7 +191,7 @@ func (s *heuristicSearch) prepare() {
 		s.minIncSuffix[d] = math.Min(s.minIncSuffix[d+1], s.cheapestInc[s.order[d]])
 	}
 	if s.UseH3 {
-		s.maxEval = newEvaluatorArena(in, s.TreeWalk, s.bs, s.ar)
+		s.maxEval = newEvaluator(in, s.bs, s.ar)
 		for i, b := range in.Base {
 			s.maxEval.setP(i, b.maxP())
 		}
@@ -314,8 +310,8 @@ func (s *heuristicSearch) dfs(depth int, costSoFar float64) {
 // where F_max is the best result confidence the tuple can reach. The
 // grid walk performs full formula evaluations, so it shares the solve's
 // budget state: a deadline can interrupt it via the pivot hook.
-func costBetas(in *Instance, treeWalk bool, bs *budgetState, ar *arena) []float64 {
-	e := newEvaluatorArena(in, treeWalk, bs, ar)
+func costBetas(in *Instance, bs *budgetState, ar *arena) []float64 {
+	e := newEvaluator(in, bs, ar)
 	out := make([]float64, len(in.Base))
 	for bi, b := range in.Base {
 		out[bi] = costBetaOf(in, e, bi, b)

@@ -72,8 +72,10 @@ type Instance struct {
 
 // Validate checks structural soundness: positive finite δ, β in (0,1],
 // finite confidences and cost increments (NaN/Inf would silently poison
-// every downstream plan), formulas monotone and referring only to known
-// variables, no duplicate base-tuple variables, Need within range.
+// every downstream plan), formulas monotone, referring only to known
+// variables and sharing at most lineage.DefaultSharedLimit of them (an
+// error wrapping lineage.ErrTooManyShared otherwise), no duplicate
+// base-tuple variables, Need within range.
 func (in *Instance) Validate() error {
 	if math.IsNaN(in.Delta) || in.Delta <= 0 || in.Delta > 1 {
 		return fmt.Errorf("strategy: delta %g outside (0,1]", in.Delta)
@@ -120,10 +122,18 @@ func (in *Instance) Validate() error {
 		if !r.Formula.Monotone() {
 			return fmt.Errorf("strategy: result %d formula is not monotone; confidence increments cannot plan over negation", i)
 		}
-		for _, v := range r.Formula.Vars() {
+		shared := 0
+		for v, n := range r.Formula.VarCounts() {
 			if !seen[v] {
 				return fmt.Errorf("strategy: result %d references unknown variable %d", i, int(v))
 			}
+			if n > 1 {
+				shared++
+			}
+		}
+		if shared > lineage.DefaultSharedLimit {
+			return fmt.Errorf("strategy: result %d: %w: %d shared variables, limit %d",
+				i, lineage.ErrTooManyShared, shared, lineage.DefaultSharedLimit)
 		}
 	}
 	return nil
@@ -205,18 +215,12 @@ type Solver interface {
 // tuples' maxima satisfies the required number of results.
 var ErrInfeasible = fmt.Errorf("strategy: instance is infeasible")
 
-// compiledSharedLimit bounds the Shannon pivot count of compiled result
-// programs: a formula sharing more variables than this keeps the
-// tree-walk substitution path (which can simplify below 2^shared work),
-// while everything else rides the flat compiled kernels.
-const compiledSharedLimit = 16
-
 // occ is one occurrence of a base tuple in a result: the result index
-// and the tuple's dense slot in that result's compiled program (-1 when
-// the result is evaluated by tree walk). dp caches the address of the
-// occurrence's cell in the result's reusable derivative row — the row
-// is allocated once and refilled in place, so the pointer stays valid
-// and saves two dependent loads per gain evaluation on the hot path.
+// and the tuple's dense slot in that result's compiled program. dp
+// caches the address of the occurrence's cell in the result's reusable
+// derivative row — the row is allocated once and refilled in place, so
+// the pointer stays valid and saves two dependent loads per gain
+// evaluation on the hot path.
 type occ struct {
 	ri   int32
 	slot int32
@@ -224,55 +228,44 @@ type occ struct {
 }
 
 // evaluator tracks current confidences and per-result probabilities with
-// incremental recomputation when one tuple changes. By default every
-// result formula is compiled once (lineage.Compile) and re-evaluated
-// through its flat program; the faithful tree-walk path remains
-// available for differential testing and the ablation benchmarks.
+// incremental recomputation when one tuple changes. Every result formula
+// is compiled once (lineage.CompileExact at lineage.DefaultSharedLimit,
+// which Validate guarantees) and re-evaluated through its Machine.
 type evaluator struct {
-	in       *Instance
-	treeWalk bool
+	in *Instance
 	// bs is the owning solve's budget state (nil when unbudgeted):
-	// recompute polls it, so even tree-walk evaluations — which have no
-	// pivot hook — stay cooperatively interruptible at per-formula
-	// granularity.
+	// recompute and deltaF poll it, and every machine's pivot hook
+	// counts Shannon pivots against it.
 	bs         *budgetState
 	p          []float64 // current confidence per base tuple
 	resultProb []float64
 	satisfied  []bool
 	nSat       int
 	resultsOf  [][]occ // base index -> result occurrences
-	basesOf    [][]int // result index -> base indices mentioned
+	basesOf    [][]int // result index -> base indices, in slot order
 	varIdx     map[lineage.Var]int
 
-	// Compiled path: per-result program, machine, dense slot-indexed
-	// probabilities, and a reusable derivative row invalidated lazily
-	// (recompute only flips derivOK; the row is refilled on demand by
-	// one fused ProbDeriv sweep and its storage is never re-allocated).
-	compiled  []bool
+	// Per-result machine, dense slot-indexed probabilities, and a
+	// reusable derivative row invalidated lazily (recompute only flips
+	// derivOK; the row is refilled on demand by one fused ProbDeriv
+	// sweep and its storage is never re-allocated).
 	machines  []*lineage.Machine
 	slotProbs [][]float64
 	derivRow  [][]float64
 	derivOK   []bool
 
-	// Batched kernel path: one lineage.Batch drives every compiled
-	// machine against the dense per-tuple confidence array e.p in a
-	// single sweep. The gather indices are basesOf — slot-ordered for
-	// compiled results — so a gathered input row is element-for-element
-	// the same as slotProbs[ri] and batched evaluation is bit-identical
-	// to the per-machine calls. batchIdx maps batch position to result
-	// index; batchOut and batchRows are the sweeps' reusable output and
-	// row-selection buffers; maxShared holds every tuple's maximum
-	// confidence for the batched feasibility probe.
+	// One lineage.Batch drives every machine (batch position = result
+	// index) against the dense per-tuple confidence array e.p in a
+	// single sweep. The gather indices are basesOf, so a gathered input
+	// row is element-for-element the same as slotProbs[ri] and batched
+	// evaluation is bit-identical to the per-machine calls. batchOut and
+	// batchRows are the sweeps' reusable output and row-selection
+	// buffers; maxShared holds every tuple's maximum confidence for the
+	// batched feasibility probe.
 	batch     *lineage.Batch
-	batchIdx  []int
 	batchOut  []float64
 	batchRows [][]float64
 	maxShared []float64
-
-	// Tree-walk path (reference semantics): per-result derivative maps
-	// invalidated on recompute, read-once flags for the linear path.
-	derivs   []map[lineage.Var]float64
-	readOnce []bool
 
 	// Step-price cache: the next δ-grid confidence and its incremental
 	// cost per tuple depend only on the tuple's current confidence, so
@@ -284,32 +277,22 @@ type evaluator struct {
 	stepOK   []bool
 }
 
-func newEvaluator(in *Instance) *evaluator { return newEvaluatorMode(in, false) }
-
-// newEvaluatorMode builds an evaluator; treeWalk selects the legacy
-// interface-typed tree evaluation instead of compiled programs.
-func newEvaluatorMode(in *Instance, treeWalk bool) *evaluator {
-	return newEvaluatorCtx(in, treeWalk, nil)
-}
-
-// newEvaluatorCtx is newEvaluatorMode with a budget: every compiled
-// machine gets a pivot hook that counts Shannon pivot enumerations
-// against bs and polls for cancellation, making formula evaluation —
-// the solvers' deepest and potentially exponential loop — cooperatively
-// interruptible. bs == nil builds a plain unbudgeted evaluator.
-func newEvaluatorCtx(in *Instance, treeWalk bool, bs *budgetState) *evaluator {
-	return newEvaluatorArena(in, treeWalk, bs, nil)
-}
-
-// newEvaluatorArena is newEvaluatorCtx with the float/bool state drawn
-// from a per-worker arena: the parallel D&C path builds one evaluator
-// per group on the worker's arena and resets it between groups, so the
-// probability vectors, derivative rows and step caches reuse one slab
-// instead of being reallocated per group. The arena zeroes every
-// segment, so an arena-backed evaluator starts in exactly the state a
-// make()-backed one would — serial/parallel bit-identity depends on it.
-// ar == nil falls back to plain heap allocation.
-func newEvaluatorArena(in *Instance, treeWalk bool, bs *budgetState, ar *arena) *evaluator {
+// newEvaluator builds an evaluator for a validated instance. With a
+// budget, every machine gets a pivot hook that counts Shannon pivot
+// enumerations against bs and polls for cancellation, making formula
+// evaluation — the solvers' deepest and potentially exponential loop —
+// cooperatively interruptible; bs == nil builds a plain unbudgeted
+// evaluator.
+//
+// The float/bool state is drawn from ar, a per-worker arena: the
+// parallel D&C path builds one evaluator per group on the worker's
+// arena and resets it between groups, so the probability vectors,
+// derivative rows and step caches reuse one slab instead of being
+// reallocated per group. The arena zeroes every segment, so an
+// arena-backed evaluator starts in exactly the state a make()-backed
+// one would — serial/parallel bit-identity depends on it. ar == nil
+// falls back to plain heap allocation.
+func newEvaluator(in *Instance, bs *budgetState, ar *arena) *evaluator {
 	var hook func(int)
 	if bs != nil {
 		hook = func(n int) {
@@ -319,7 +302,6 @@ func newEvaluatorArena(in *Instance, treeWalk bool, bs *budgetState, ar *arena) 
 	}
 	e := &evaluator{
 		in:         in,
-		treeWalk:   treeWalk,
 		bs:         bs,
 		p:          ar.floats(len(in.Base)),
 		resultProb: ar.floats(len(in.Results)),
@@ -327,115 +309,66 @@ func newEvaluatorArena(in *Instance, treeWalk bool, bs *budgetState, ar *arena) 
 		resultsOf:  make([][]occ, len(in.Base)),
 		basesOf:    make([][]int, len(in.Results)),
 		varIdx:     make(map[lineage.Var]int, len(in.Base)),
-		compiled:   ar.bools(len(in.Results)),
 		machines:   make([]*lineage.Machine, len(in.Results)),
 		slotProbs:  make([][]float64, len(in.Results)),
 		derivRow:   make([][]float64, len(in.Results)),
 		derivOK:    ar.bools(len(in.Results)),
-		derivs:     make([]map[lineage.Var]float64, len(in.Results)),
-		readOnce:   ar.bools(len(in.Results)),
+		batch:      lineage.NewBatch(len(in.Results)),
+		batchOut:   ar.floats(len(in.Results)),
+		batchRows:  make([][]float64, len(in.Results)),
+		maxShared:  ar.floats(len(in.Base)),
 		stepNext:   ar.floats(len(in.Base)),
 		stepCost:   ar.floats(len(in.Base)),
 		stepOK:     ar.bools(len(in.Base)),
 	}
+	//lint:allow ctxpoll bounded O(|Base|) per-tuple setup with no lineage
+	// work; the per-result loop below polls.
 	for i, b := range in.Base {
 		e.p[i] = b.P
+		e.maxShared[i] = b.maxP()
 		e.varIdx[b.Var] = i
 	}
 	for ri, r := range in.Results {
 		// Compilation is O(|formula|) per result but the instance may carry
 		// tens of thousands of results; keep setup interruptible too.
 		bs.poll()
-		if !treeWalk {
-			if prog, err := lineage.CompileExact(r.Formula, compiledSharedLimit); err == nil {
-				e.compiled[ri] = true
-				e.machines[ri] = lineage.NewMachine(prog)
-				e.machines[ri].SetPivotHook(hook)
-				e.slotProbs[ri] = ar.floats(prog.NumSlots())
-				e.derivRow[ri] = ar.floats(prog.NumSlots())
-				for s, v := range prog.Vars() {
-					bi := e.varIdx[v]
-					e.slotProbs[ri][s] = e.p[bi]
-					e.resultsOf[bi] = append(e.resultsOf[bi], occ{
-						ri: int32(ri), slot: int32(s), dp: &e.derivRow[ri][s],
-					})
-					e.basesOf[ri] = append(e.basesOf[ri], bi)
-				}
-				continue
-			}
+		prog, err := lineage.CompileExact(r.Formula, lineage.DefaultSharedLimit)
+		if err != nil {
+			panic(err) // unreachable: Validate bounds every formula's shared variables
 		}
-		e.readOnce[ri] = r.Formula.ReadOnce()
-		for _, v := range r.Formula.Vars() {
+		m := lineage.NewMachine(prog)
+		m.SetPivotHook(hook)
+		e.machines[ri] = m
+		e.slotProbs[ri] = ar.floats(prog.NumSlots())
+		e.derivRow[ri] = ar.floats(prog.NumSlots())
+		for s, v := range prog.Vars() {
 			bi := e.varIdx[v]
-			e.resultsOf[bi] = append(e.resultsOf[bi], occ{ri: int32(ri), slot: -1})
+			e.slotProbs[ri][s] = e.p[bi]
+			e.resultsOf[bi] = append(e.resultsOf[bi], occ{
+				ri: int32(ri), slot: int32(s), dp: &e.derivRow[ri][s],
+			})
 			e.basesOf[ri] = append(e.basesOf[ri], bi)
 		}
-	}
-	if !treeWalk {
-		e.batch = lineage.NewBatch(len(in.Results))
-		for ri := range in.Results {
-			if !e.compiled[ri] {
-				continue
-			}
-			bs.poll()
-			// basesOf is slot-ordered for compiled results, so gathering
-			// e.p through it reproduces slotProbs[ri] exactly.
-			if err := e.batch.Add(e.machines[ri], e.basesOf[ri]); err != nil {
-				panic(err) // unreachable: basesOf is built slot-aligned above
-			}
-			e.batchIdx = append(e.batchIdx, ri)
+		if err := e.batch.Add(m, e.basesOf[ri]); err != nil {
+			panic(err) // unreachable: basesOf is built slot-aligned above
 		}
 	}
-	if e.batch != nil && e.batch.Len() > 0 {
-		e.batchOut = ar.floats(e.batch.Len())
-		e.batchRows = make([][]float64, e.batch.Len())
-		e.maxShared = ar.floats(len(in.Base))
-		//lint:allow ctxpoll bounded O(|Base|) per-tuple maximum lookup with no
-		// lineage work; the surrounding constructor polls per result.
-		for i, b := range in.Base {
-			e.maxShared[i] = b.maxP()
-		}
-		// Initial probabilities of all compiled results in one batched
-		// sweep (shared-variable machines poll through their pivot hooks).
-		e.batch.EvalBatch(e.p, e.batchOut)
-		for k, ri := range e.batchIdx {
-			bs.poll()
-			e.applyProb(ri, e.batchOut[k])
-		}
-	}
-	for ri := range in.Results {
-		if !e.compiled[ri] {
-			e.recompute(ri)
-		}
+	// Initial probabilities of all results in one batched sweep
+	// (shared-variable machines poll through their pivot hooks).
+	e.batch.EvalBatch(e.p, e.batchOut)
+	for ri, prob := range e.batchOut {
+		bs.poll()
+		e.applyProb(ri, prob)
 	}
 	return e
 }
 
-// assignment adapts current confidences to lineage.Assignment.
-func (e *evaluator) assignment() lineage.Assignment {
-	return lineage.FuncAssignment(func(v lineage.Var) float64 {
-		return e.p[e.varIdx[v]]
-	})
-}
-
 func (e *evaluator) recompute(ri int) {
 	e.bs.poll()
-	var prob float64
-	switch {
-	case e.compiled[ri]:
-		prob = e.machines[ri].Prob(e.slotProbs[ri])
-		// Invalidate lazily: the dense row is refilled (and reused) only
-		// when a gain computation actually needs derivatives.
-		e.derivOK[ri] = false
-	case e.readOnce[ri]:
-		// Exact for read-once formulas and allocation-free.
-		prob = lineage.ProbIndependent(e.in.Results[ri].Formula, e.assignment())
-		e.derivs[ri] = nil
-	default:
-		prob = lineage.Prob(e.in.Results[ri].Formula, e.assignment())
-		e.derivs[ri] = nil
-	}
-	e.applyProb(ri, prob)
+	e.applyProb(ri, e.machines[ri].Prob(e.slotProbs[ri]))
+	// Invalidate lazily: the dense row is refilled (and reused) only
+	// when a gain computation actually needs derivatives.
+	e.derivOK[ri] = false
 }
 
 // applyProb records a freshly computed probability for result ri and
@@ -454,31 +387,28 @@ func (e *evaluator) applyProb(ri int, prob float64) {
 	}
 }
 
-// primeDerivs refreshes the derivative row of every compiled, still
-// unsatisfied result whose row is stale in one batched fused sweep, so
-// a greedy solve's initial gain sweep reads warm rows instead of
-// faulting them in machine by machine. The lazy per-result refresh in
-// deltaF still serves the incremental picks afterwards; either path
-// produces bit-identical rows (same machines, same gathered inputs).
+// primeDerivs refreshes the derivative row of every still unsatisfied
+// result whose row is stale in one batched fused sweep, so a greedy
+// solve's initial gain sweep reads warm rows instead of faulting them
+// in machine by machine. The lazy per-result refresh in deltaF still
+// serves the incremental picks afterwards; either path produces
+// bit-identical rows (same machines, same gathered inputs).
 func (e *evaluator) primeDerivs() {
-	if e.batch == nil || e.batch.Len() == 0 {
-		return
-	}
 	stale := false
-	for k, ri := range e.batchIdx {
+	for ri := range e.batchRows {
 		if !e.satisfied[ri] && !e.derivOK[ri] {
-			e.batchRows[k] = e.derivRow[ri]
+			e.batchRows[ri] = e.derivRow[ri]
 			stale = true
 		} else {
-			e.batchRows[k] = nil
+			e.batchRows[ri] = nil
 		}
 	}
 	if !stale {
 		return
 	}
 	e.batch.ProbDerivBatch(e.p, nil, e.batchRows)
-	for k, ri := range e.batchIdx {
-		if e.batchRows[k] != nil {
+	for ri, row := range e.batchRows {
+		if row != nil {
 			e.derivOK[ri] = true
 		}
 	}
@@ -494,9 +424,7 @@ func (e *evaluator) setP(bi int, p float64) {
 	e.p[bi] = p
 	e.stepOK[bi] = false
 	for _, oc := range e.resultsOf[bi] {
-		if oc.slot >= 0 {
-			e.slotProbs[oc.ri][oc.slot] = p
-		}
+		e.slotProbs[oc.ri][oc.slot] = p
 		e.recompute(int(oc.ri))
 	}
 }
@@ -535,18 +463,11 @@ func (e *evaluator) deltaF(bi int, newP float64) float64 {
 		if e.satisfied[ri] {
 			continue
 		}
-		if oc.dp != nil {
-			if !e.derivOK[ri] {
-				e.machines[ri].ProbDeriv(e.slotProbs[ri], e.derivRow[ri])
-				e.derivOK[ri] = true
-			}
-			total += d * *oc.dp
-			continue
+		if !e.derivOK[ri] {
+			e.machines[ri].ProbDeriv(e.slotProbs[ri], e.derivRow[ri])
+			e.derivOK[ri] = true
 		}
-		if e.derivs[ri] == nil {
-			e.derivs[ri] = lineage.Derivatives(e.in.Results[ri].Formula, e.assignment())
-		}
-		total += d * e.derivs[ri][e.in.Base[bi].Var]
+		total += d * *oc.dp
 	}
 	return total
 }
@@ -579,50 +500,19 @@ func (e *evaluator) stepPriceSlow(bi int) (next, incCost float64) {
 // evaluator it already built instead of constructing (and compiling)
 // a second one.
 func (e *evaluator) satAtMax() int {
+	// One batched sweep over the precomputed per-tuple maxima;
+	// shared-variable machines stay interruptible via their pivot hooks.
+	// batchOut is scratch — current evaluator state is untouched.
+	e.batch.EvalBatch(e.maxShared, e.batchOut)
 	sat := 0
-	if e.batch != nil && e.batch.Len() > 0 {
-		// All compiled results in one batched sweep over the precomputed
-		// per-tuple maxima (gathered through basesOf, which is in slot
-		// order, so the inputs match the old per-result gather exactly);
-		// shared-variable machines stay interruptible via their pivot
-		// hooks. batchOut is scratch — current evaluator state is
-		// untouched.
-		e.batch.EvalBatch(e.maxShared, e.batchOut)
-		//lint:allow ctxpoll bounded O(|Results|) threshold counting over the
-		// batch outputs; the lineage work polled inside EvalBatch.
-		for k := range e.batchIdx {
-			if conf.GE(e.batchOut[k], e.in.Beta) {
-				sat++
-			}
-		}
-	}
-	maxAssign := lineage.FuncAssignment(func(v lineage.Var) float64 {
-		return e.in.Base[e.varIdx[v]].maxP()
-	})
-	for ri := range e.in.Results {
-		if e.compiled[ri] {
-			continue // counted by the batched sweep above
-		}
-		// Feasibility probing evaluates every formula at the maxima; on
-		// large instances this rivals a solve phase, so stay interruptible.
-		e.bs.poll()
-		var prob float64
-		if e.readOnce[ri] {
-			prob = lineage.ProbIndependent(e.in.Results[ri].Formula, maxAssign)
-		} else {
-			prob = lineage.Prob(e.in.Results[ri].Formula, maxAssign)
-		}
+	//lint:allow ctxpoll bounded O(|Results|) threshold counting over the
+	// batch outputs; the lineage work polled inside EvalBatch.
+	for _, prob := range e.batchOut {
 		if conf.GE(prob, e.in.Beta) {
 			sat++
 		}
 	}
 	return sat
-}
-
-// feasible reports whether raising every tuple to its maximum satisfies
-// the instance.
-func feasible(in *Instance, treeWalk bool) bool {
-	return newEvaluatorMode(in, treeWalk).satAtMax() >= in.Need
 }
 
 // plan snapshots the evaluator's state into a Plan.
@@ -667,10 +557,13 @@ func (in *Instance) Verify(p *Plan) error {
 	for i, b := range in.Base {
 		probs[b.Var] = p.NewP[i]
 	}
-	assign := probs
 	sat := 0
-	for _, r := range in.Results {
-		if conf.GELoose(lineage.Prob(r.Formula, assign), in.Beta) {
+	for i, r := range in.Results {
+		prob, _, err := lineage.Prob(r.Formula, probs)
+		if err != nil {
+			return fmt.Errorf("strategy: result %d: %w", i, err)
+		}
+		if conf.GELoose(prob, in.Beta) {
 			sat++
 		}
 	}

@@ -219,7 +219,11 @@ func TestPropertyGreedySatisfiesExactlyEnough(t *testing.T) {
 			})
 			sat := 0
 			for _, res := range in.Results {
-				if lineage.Prob(res.Formula, assign) >= in.Beta-1e-12 {
+				p, err := lineage.ProbBruteForce(res.Formula, assign)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if p >= in.Beta-1e-12 {
 					sat++
 				}
 			}

@@ -271,12 +271,11 @@ type LineageVar = lineage.Var
 
 // Lineage constructors and probability evaluation.
 var (
-	LineageVarOf  = lineage.NewVar
-	LineageAnd    = lineage.And
-	LineageOr     = lineage.Or
-	LineageNot    = lineage.Not
-	LineageProb   = lineage.Prob
-	LineageDerivs = lineage.Derivatives
+	LineageVarOf = lineage.NewVar
+	LineageAnd   = lineage.And
+	LineageOr    = lineage.Or
+	LineageNot   = lineage.Not
+	LineageProb  = lineage.Prob
 )
 
 // --- Confidence assignment (trust model) ---
